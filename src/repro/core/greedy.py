@@ -90,43 +90,47 @@ def greedy_mis(
         m=H.num_edges,
         dim=H.dimension,
     ) as span:
-        edges = H.edges
-        sizes = [len(e) for e in edges]
-        accepted_count = [0] * len(edges)
-        in_I = np.zeros(H.universe, dtype=bool)
-        added = 0
+        store = H.store
+        sizes = store.sizes().tolist()
+        accepted_count = [0] * store.num_edges
+        chosen: list[int] = []
 
         # Shape dispatch: both adjacency layouts enumerate the same incident
         # edge sets, and the scan (order, accept/reject rule) is shared — the
         # backends are bit-identical by construction.  The dense layout is a
-        # CSC-style flat index (one argsort) instead of a dict of lists.
-        store = H.store
+        # CSC-style flat index (one argsort) instead of a dict of lists,
+        # indexed by each vertex's rank among the active vertices so its
+        # cost follows the instance, not the universe.
         use_dense = bool(select_backend(H).dense and store.indices.size)
+        scan_ids = scan.tolist()
         if use_dense:
-            csc_order = np.argsort(store.indices, kind="stable")
+            rank = np.empty(H.universe, dtype=np.intp)
+            rank[active] = np.arange(active.size, dtype=np.intp)
+            col = rank[store.indices]
+            csc_order = np.argsort(col, kind="stable")
             eids = np.repeat(
-                np.arange(len(edges), dtype=np.intp), store.sizes()
+                np.arange(store.num_edges, dtype=np.intp), store.sizes()
             )[csc_order].tolist()
-            aptr = np.zeros(H.universe + 1, dtype=np.intp)
-            np.cumsum(
-                np.bincount(store.indices, minlength=H.universe), out=aptr[1:]
-            )
+            aptr = np.zeros(active.size + 1, dtype=np.intp)
+            np.cumsum(np.bincount(col, minlength=active.size), out=aptr[1:])
             aptr = aptr.tolist()
+            slots = rank[scan].tolist()
         else:
             adj = H.vertex_to_edges()
+            slots = scan_ids
 
-        for v in scan.tolist():
+        for v, r in zip(scan_ids, slots):
             incident = (
-                eids[aptr[v] : aptr[v + 1]] if use_dense else adj.get(v, ())
+                eids[aptr[r] : aptr[r + 1]] if use_dense else adj.get(v, ())
             )
             completes = any(accepted_count[i] == sizes[i] - 1 for i in incident)
             if completes:
                 continue
-            in_I[v] = True
-            added += 1
+            chosen.append(v)
             for i in incident:
                 accepted_count[i] += 1
 
+        added = len(chosen)
         if machine is not None:
             cost = H.num_vertices + H.total_edge_size
             machine.charge(cost, cost, 1)
@@ -151,7 +155,7 @@ def greedy_mis(
             record.extras["wall_ns"] = span.wall_ns
         records.append(record)
     return MISResult(
-        independent_set=np.flatnonzero(in_I),
+        independent_set=np.asarray(chosen, dtype=np.intp),
         algorithm="greedy",
         n=H.num_vertices,
         m=H.num_edges,

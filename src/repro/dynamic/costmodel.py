@@ -183,9 +183,11 @@ def usable_calibration(
     return cal
 
 
-#: Per-path memo of usable_calibration so sustained churn does not re-read
-#: the file on every update (same discipline as kernel dispatch's cache).
-_CAL_CACHE: dict[Path, CrossoverCalibration | None] = {}
+#: Memo of usable_calibration so sustained churn does not re-read the file
+#: on every update (same discipline as kernel dispatch's cache).  Keyed on
+#: the raw ``ENV_CALIBRATION`` value (``None`` when unset): a dict lookup,
+#: where resolving the path would cost filesystem calls on every batch.
+_CAL_CACHE: dict[str | None, CrossoverCalibration | None] = {}
 
 
 def invalidate_calibration_cache() -> None:
@@ -194,12 +196,12 @@ def invalidate_calibration_cache() -> None:
 
 
 def _cached_calibration() -> CrossoverCalibration | None:
-    path = calibration_path().resolve()
-    if path not in _CAL_CACHE:
+    key = os.environ.get(ENV_CALIBRATION)
+    if key not in _CAL_CACHE:
         if len(_CAL_CACHE) > 8:
             _CAL_CACHE.clear()
-        _CAL_CACHE[path] = usable_calibration(path)
-    return _CAL_CACHE[path]
+        _CAL_CACHE[key] = usable_calibration(calibration_path())
+    return _CAL_CACHE[key]
 
 
 def decide_strategy(

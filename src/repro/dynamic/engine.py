@@ -36,16 +36,16 @@ unless ``validate=False`` — trust the theorem, verify the code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from repro.core.greedy import greedy_mis
 from repro.core.result import RoundRecord
 from repro.dynamic.costmodel import decide_strategy
 from repro.hypergraph.components import component_labels
+from repro.hypergraph.edgestore import concat_ranges
 from repro.hypergraph.hypergraph import EdgeLike, Hypergraph
 from repro.hypergraph.updates import UpdateResult, apply_updates
 from repro.hypergraph.validate import check_mis
@@ -62,22 +62,88 @@ def _local_labels(cand: np.ndarray, sub_store) -> np.ndarray:
     """Connected-component labels of the *compacted* candidate region.
 
     ``cand`` (sorted vertex ids) and ``sub_store`` (the edges lying inside
-    it) are remapped to ``0..k-1`` before the bipartite CC pass, so the
-    cost is proportional to the candidate region — not the instance.
-    Label values are arbitrary but distinct per component.
+    it) are remapped to ``0..k-1``, and a hook-and-shortcut label pass
+    runs on those arrays alone, so the cost is proportional to the
+    candidate region — not the instance.  Each label is the smallest local
+    index in its component: arbitrary, but distinct per component.
     """
-    k = cand.size
-    ms = sub_store.num_edges
-    if not ms:
-        return np.arange(k, dtype=np.intp)
-    rows = np.searchsorted(cand, sub_store.indices)
-    cols = k + np.repeat(np.arange(ms, dtype=np.intp), sub_store.sizes())
-    n_nodes = k + ms
-    graph = sp.coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n_nodes, n_nodes)
-    )
-    _, raw = csgraph.connected_components(graph, directed=False)
-    return raw[:k].astype(np.intp)
+    label = np.arange(cand.size, dtype=np.intp)
+    if not sub_store.num_edges:
+        return label
+    members = np.searchsorted(cand, sub_store.indices)
+    starts, sizes = sub_store.indptr[:-1], sub_store.sizes()
+    while True:
+        at = label[members]
+        low = np.repeat(np.minimum.reduceat(at, starts), sizes)
+        if np.array_equal(at, low):
+            return label
+        # Hook every member, and the root it points at, to the edge's
+        # smallest label; labels only fall, so label[v] <= v throughout
+        # and the shortcut below ends at the roots.
+        np.minimum.at(label, at, low)
+        np.minimum.at(label, members, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+class _Components:
+    """Component labels of the current state, with a member list per label.
+
+    ``labels`` covers the universe (``-1`` for inactive vertices).  An
+    update can only change the components holding dirty vertices, so
+    :meth:`region` reads exactly those through the member index and
+    :meth:`relabel` rewrites exactly that region, in place — neither
+    costs O(n) per step.  :meth:`reset` (initial state, recompute) is the
+    only full-instance pass.
+    """
+
+    __slots__ = ("labels", "members", "next_label")
+
+    def __init__(self, labels: np.ndarray):
+        self.reset(labels)
+
+    def reset(self, labels: np.ndarray) -> None:
+        self.labels = labels
+        self.members: dict[int, np.ndarray] = {}
+        active = np.flatnonzero(labels >= 0)
+        self._index(active, labels[active])
+        self.next_label = int(labels.max()) + 1 if labels.size else 0
+
+    def _index(self, vertices: np.ndarray, labels: np.ndarray) -> None:
+        """File the sorted *vertices* under their *labels*."""
+        if not vertices.size:
+            return
+        order = np.argsort(labels, kind="stable")
+        grouped, filed = labels[order], vertices[order]
+        cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+        starts = [0, *cuts.tolist()]
+        stops = [*starts[1:], filed.size]
+        heads = grouped[starts].tolist()
+        self.members.update(
+            (lab, filed[a:b]) for lab, a, b in zip(heads, starts, stops)
+        )
+
+    def region(self, dirty: np.ndarray) -> np.ndarray:
+        """Sorted union of the dirty vertices and their components."""
+        touched = np.unique(self.labels[dirty])
+        parts = [self.members[lab] for lab in touched[touched >= 0].tolist()]
+        return np.unique(np.concatenate([dirty, *parts]))
+
+    def relabel(self, region: np.ndarray, local: np.ndarray) -> None:
+        """Give a :meth:`region` fresh label ids from its local labels.
+
+        The region holds whole components, so every label it carried
+        retires; ids are never reused, so the rest keep their own.
+        """
+        for lab in np.unique(self.labels[region]).tolist():
+            self.members.pop(lab, None)
+        fresh = self.next_label + local
+        self.labels[region] = fresh
+        self._index(region, fresh)
+        self.next_label = int(fresh.max()) + 1
 
 
 @dataclass(frozen=True)
@@ -144,8 +210,7 @@ class DynamicMIS:
         # an update can only change the components that contain dirty
         # vertices, so those get relabeled locally (fresh ids) and the
         # rest keep their labels.  Recompute refreshes from scratch.
-        self._labels = component_labels(H)
-        self._next_label = int(self._labels.max()) + 1 if self._labels.size else 0
+        self._components = _Components(component_labels(H))
         self._steps = 0
         if validate:
             check_mis(H, self._mis)
@@ -238,7 +303,7 @@ class DynamicMIS:
             delta_fraction = upd.delta_fraction()
 
             rounds: tuple[RoundRecord, ...] = ()
-            new_labels, next_label = self._labels, self._next_label
+            commit: Callable[[], None] | None = None
             if upd.is_noop:
                 strategy, reason = "noop", "empty structural diff"
                 new_mis = self._mis
@@ -262,23 +327,10 @@ class DynamicMIS:
                 )
                 obs_metrics.inc(f"dynamic/decision_mode/{mode}")
                 if strategy == "repair":
-                    (
-                        new_mis,
-                        patch_vertices,
-                        frozen,
-                        rounds,
-                        new_labels,
-                        next_label,
-                    ) = self._repair(H_new, upd, trc, trace)
+                    solved = self._repair(H_new, upd, trc, trace)
                 else:
-                    (
-                        new_mis,
-                        patch_vertices,
-                        frozen,
-                        rounds,
-                        new_labels,
-                        next_label,
-                    ) = self._recompute(H_new, trc, trace)
+                    solved = self._recompute(H_new, trc, trace)
+                new_mis, patch_vertices, frozen, rounds, commit = solved
 
             certified = False
             if self._validate:
@@ -287,8 +339,8 @@ class DynamicMIS:
 
             self._H = H_new
             self._mis = new_mis
-            self._labels = new_labels
-            self._next_label = next_label
+            if commit is not None:
+                commit()
             self._chain = upd.chain
             self._steps += 1
             if trc.enabled:
@@ -318,7 +370,7 @@ class DynamicMIS:
         upd: UpdateResult,
         trc: Tracer | NullTracer,
         trace: bool,
-    ) -> tuple[np.ndarray, int, int, tuple[RoundRecord, ...], np.ndarray, int]:
+    ) -> tuple[np.ndarray, int, int, tuple[RoundRecord, ...], Callable[[], None]]:
         """Localize → re-solve affected components → splice.
 
         Localization is two-stage, and both stages are local.  The cached
@@ -332,49 +384,53 @@ class DynamicMIS:
         components of ``H_new``; candidate pieces that split away from
         every dirty vertex keep their old incident edges untouched and are
         frozen along with the rest.
+
+        Returns the spliced MIS and a ``commit`` that relabels the
+        candidate region — run only once the new state is certified.
         """
         with trc.span("dynamic/repair", changed=upd.num_changed) as span:
-            universe = H_new.universe
             dirty = upd.dirty_vertices
-            old_dirty = np.unique(self._labels[dirty])
-            old_dirty = old_dirty[old_dirty >= 0]
-            cand_mask = (
-                np.isin(self._labels, old_dirty)
-                if old_dirty.size
-                else np.zeros(universe, dtype=bool)
-            )
-            cand_mask[dirty] = True
-            cand = np.flatnonzero(cand_mask)
+            cand = self._components.region(dirty)
+            # Every edge touching the region lies inside it.  The store is
+            # lex-sorted, so first vertices ascend and the region's edges
+            # are the runs that start at a region vertex: one gather and
+            # two binary searches instead of a full-store mask.
             store = H_new.store
-            if store.num_edges:
-                first = store.indices[store.indptr[:-1]]
-                cand_store = store.select(cand_mask[first])
-            else:
-                cand_store = store
+            first = store.indices[store.indptr[:-1]]
+            cand_store = store.subset(
+                concat_ranges(
+                    np.searchsorted(first, cand, "left"),
+                    np.searchsorted(first, cand, "right"),
+                )
+            )
             local = _local_labels(cand, cand_store)
-            dirty_local = np.unique(local[np.searchsorted(cand, dirty)])
-            sub_vertices = cand[np.isin(local, dirty_local)]
-            affected = np.zeros(universe, dtype=bool)
-            affected[sub_vertices] = True
-            if cand_store.num_edges:
-                sub_first = cand_store.indices[cand_store.indptr[:-1]]
-                sub_store = cand_store.select(affected[sub_first])
-            else:
-                sub_store = cand_store
-            sub_H = Hypergraph._from_arrays(universe, sub_store, sub_vertices)
+            # Local labels are region indices, so a region-sized mask
+            # marks the components that hold a dirty vertex.
+            hit = np.zeros(cand.size, dtype=bool)
+            hit[local[np.searchsorted(cand, dirty)]] = True
+            keep = hit[local]
+            sub_vertices = cand[keep]
+            sub_first = cand_store.indices[cand_store.indptr[:-1]]
+            sub_store = cand_store.select(keep[np.searchsorted(cand, sub_first)])
+            sub_H = Hypergraph._from_arrays(H_new.universe, sub_store, sub_vertices)
             result = greedy_mis(
                 sub_H,
                 order=self._priority_order(sub_vertices),
                 trace=trace,
                 tracer=trc,
             )
-            frozen = self._mis[~affected[self._mis]]
-            merged = np.union1d(frozen, result.independent_set)
-            # Candidate vertices get fresh label ids (unique vs. every id
-            # handed out so far); the untouched remainder keeps its own.
-            new_labels = self._labels.copy()
-            new_labels[cand] = self._next_label + local
-            next_label = self._next_label + (int(local.max()) + 1 if cand.size else 0)
+            # Frozen and patch vertices are disjoint and both sorted: drop
+            # the old patch members and splice the new ones in, with no
+            # set operation over the whole MIS.
+            mis = self._mis
+            at = np.searchsorted(mis, sub_vertices)
+            frozen = (
+                np.delete(mis, at[mis.take(at, mode="clip") == sub_vertices])
+                if mis.size
+                else mis
+            )
+            patch = result.independent_set
+            merged = np.insert(frozen, np.searchsorted(frozen, patch), patch)
             obs_metrics.inc("dynamic/repairs")
             obs_metrics.inc("dynamic/patch_vertices", sub_H.num_vertices)
             if trc.enabled:
@@ -382,20 +438,19 @@ class DynamicMIS:
                     patch_n=sub_H.num_vertices,
                     patch_m=sub_H.num_edges,
                     frozen=int(frozen.size),
-                    components=int(dirty_local.size),
+                    components=int(np.count_nonzero(hit)),
                 )
         return (
             merged,
             sub_H.num_vertices,
             int(frozen.size),
             tuple(result.rounds),
-            new_labels,
-            next_label,
+            partial(self._components.relabel, cand, local),
         )
 
     def _recompute(
         self, H_new: Hypergraph, trc: Tracer | NullTracer, trace: bool
-    ) -> tuple[np.ndarray, int, int, tuple[RoundRecord, ...], np.ndarray, int]:
+    ) -> tuple[np.ndarray, int, int, tuple[RoundRecord, ...], Callable[[], None]]:
         with trc.span("dynamic/recompute", n=H_new.num_vertices, m=H_new.num_edges):
             result = greedy_mis(
                 H_new,
@@ -404,13 +459,11 @@ class DynamicMIS:
                 tracer=trc,
             )
             obs_metrics.inc("dynamic/recomputes")
-            new_labels = component_labels(H_new)
-            next_label = int(new_labels.max()) + 1 if new_labels.size else 0
+            labels = component_labels(H_new)
         return (
             result.independent_set,
             H_new.num_vertices,
             0,
             tuple(result.rounds),
-            new_labels,
-            next_label,
+            partial(self._components.reset, labels),
         )

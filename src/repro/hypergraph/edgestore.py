@@ -36,13 +36,20 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 
-__all__ = ["EdgeStore"]
+__all__ = ["EdgeStore", "concat_ranges"]
 
 #: Beyond this edge size the padded lex-sort matrix gets wasteful; fall
 #: back to sorting Python tuples (construction-time only, never per round).
 _PAD_LIMIT = 64
 
 _EMPTY_EDGE_MSG = "empty edge is not allowed (it would make every set dependent)"
+
+
+def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(a, b) for a, b in zip(starts, stops)])``, vectorised."""
+    lens = stops - starts
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()), dtype=np.intp)
 
 
 def _row_ids(indptr: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -150,14 +157,19 @@ class EdgeStore:
     Construct via :meth:`from_iterable` (general input, full
     canonicalisation) or :meth:`from_arrays` (``canonical=True`` trusts the
     caller's proof that the invariant already holds and skips all work).
+
+    ``_packed`` caches ``(base, width, keys)``: the ascending packed edge
+    keys :mod:`repro.hypergraph.updates` splices from one state to the
+    next, so a stream step never re-packs the whole store.
     """
 
-    __slots__ = ("indptr", "indices", "_sizes")
+    __slots__ = ("indptr", "indices", "_sizes", "_packed")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self.indptr = indptr
         self.indices = indices
         self._sizes: np.ndarray | None = None
+        self._packed: tuple[int, int, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -267,6 +279,22 @@ class EdgeStore:
         """Expand a per-edge boolean mask to a per-position mask."""
         return np.repeat(edge_mask, self.sizes())
 
+    def subset(self, edge_ids: np.ndarray) -> "EdgeStore":
+        """Keep the edges with the given ascending ids.
+
+        Like :meth:`select` the result is trusted, but it costs O(Σ|e|) of
+        the kept edges only — what lets a small batch or region touch a
+        large store without a full-store mask.
+        """
+        starts = self.indptr[edge_ids]
+        stops = self.indptr[edge_ids + 1]
+        kept_sizes = stops - starts
+        new_indptr = np.zeros(kept_sizes.size + 1, dtype=np.intp)
+        np.cumsum(kept_sizes, out=new_indptr[1:])
+        out = EdgeStore(new_indptr, self.indices[concat_ranges(starts, stops)])
+        out._sizes = kept_sizes
+        return out
+
     def select(self, edge_mask: np.ndarray) -> "EdgeStore":
         """Keep the masked edges.  A subsequence of a canonical edge list is
         canonical, so the result is trusted."""
@@ -275,7 +303,9 @@ class EdgeStore:
         new_indptr = np.zeros(kept_sizes.size + 1, dtype=np.intp)
         np.cumsum(kept_sizes, out=new_indptr[1:])
         new_indices = self.indices[np.repeat(edge_mask, sizes)]
-        return EdgeStore(new_indptr, new_indices)
+        out = EdgeStore(new_indptr, new_indices)
+        out._sizes = kept_sizes
+        return out
 
     def diff(self, other: "EdgeStore") -> tuple[np.ndarray, np.ndarray]:
         """Symmetric difference of two canonical stores, as index arrays.

@@ -27,9 +27,11 @@ Semantics
 The diff is exact by construction.  On shapes whose edges pack into one
 64-bit key per edge (``dimension · log2(universe) ≲ 62`` — every
 practical streamed instance) the whole batch runs **sort-free**: the old
-store is already lex-sorted, so packed keys are ascending, removals
-resolve by binary search, additions splice in with one ``np.insert``,
-and the structural diff falls out of the bookkeeping — O(Σ|e|) with no
+store is already lex-sorted, so packed keys are ascending, removals and
+additions resolve by binary search against the keys cached on the old
+store, the successor (keys included) is spliced from slices of the old
+arrays, and the structural diff falls out of the bookkeeping — one copy
+of the store plus work per changed edge, with no re-pack and no
 O(m log m) re-sort anywhere.  Degenerate shapes fall back to the general
 path (one canonical-store ``old.diff(new)`` comparison, a padded
 lex-sort); both paths are differentially tested against each other.
@@ -96,6 +98,88 @@ def _packed_keys(store: EdgeStore, base: int, width: int) -> np.ndarray:
     return keys
 
 
+def _store_keys(store: EdgeStore, base: int, width: int) -> np.ndarray:
+    """The packed keys of *store*, from its ``(base, width)`` cache when set.
+
+    A store without a matching cache — the genesis state, or one the
+    general path built — pays one :func:`_packed_keys` pass and keeps the
+    result, so a stream re-packs only when it enters the fast path.
+    """
+    cached = store._packed
+    if cached is not None and cached[0] == base and cached[1] == width:
+        return cached[2]
+    keys = _packed_keys(store, base, width)
+    _adopt_keys(store, base, width, keys)
+    return keys
+
+
+def _adopt_keys(store: EdgeStore, base: int, width: int, keys: np.ndarray) -> None:
+    keys.flags.writeable = False
+    store._packed = (base, width, keys)
+
+
+def _locate(sorted_arr: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of *queries* in *sorted_arr*, and which are present."""
+    pos = np.searchsorted(sorted_arr, queries)
+    found = np.zeros(queries.size, dtype=bool)
+    inside = pos < sorted_arr.size
+    found[inside] = sorted_arr[pos[inside]] == queries[inside]
+    return pos, found
+
+
+def _splice(
+    old: EdgeStore,
+    keys_old: np.ndarray,
+    drop: np.ndarray,
+    fresh: EdgeStore,
+    keys_fresh: np.ndarray,
+    at: np.ndarray,
+) -> EdgeStore:
+    """*old* without edges *drop*, with fresh edge ``j`` inserted before old
+    edge ``at[j]`` (both ascending), and its packed keys attached.
+
+    Each successor array — ``indptr``, ``indices``, sizes, keys — is one
+    concatenation of old slices and fresh pieces: a single copy of the
+    store plus bookkeeping per changed edge, with no full-store mask,
+    insert or prefix sum.
+    """
+    ptr, fptr = old.indptr, fresh.indptr
+    sizes, fsizes = old.sizes(), fresh.sizes()
+    indptr_parts = [ptr[:1]]
+    index_parts, size_parts, key_parts = [old.indices[:0]], [sizes[:0]], [keys_old[:0]]
+    # An insertion at p goes before old edge p, so it sorts ahead of a
+    # drop of p; fresh edges at one point keep their batch order.
+    events = sorted(
+        [(p, 0, j) for j, p in enumerate(at.tolist())]
+        + [(d, 1, 0) for d in drop.tolist()]
+        + [(old.num_edges, 1, 0)]  # flushes the tail
+    )
+    prev = written = 0
+    for p, is_drop, j in events:
+        if p > prev:
+            lo, hi = int(ptr[prev]), int(ptr[p])
+            indptr_parts.append(ptr[prev + 1 : p + 1] + (written - lo))
+            index_parts.append(old.indices[lo:hi])
+            size_parts.append(sizes[prev:p])
+            key_parts.append(keys_old[prev:p])
+            written += hi - lo
+        if is_drop:
+            prev = p + 1
+            continue
+        lo, hi = int(fptr[j]), int(fptr[j + 1])
+        written += hi - lo
+        indptr_parts.append(np.array([written], dtype=np.intp))
+        index_parts.append(fresh.indices[lo:hi])
+        size_parts.append(fsizes[j : j + 1])
+        key_parts.append(keys_fresh[j : j + 1])
+        prev = p
+    store = EdgeStore(np.concatenate(indptr_parts), np.concatenate(index_parts))
+    store._sizes = np.concatenate(size_parts)
+    base, width, _ = old._packed
+    _adopt_keys(store, base, width, np.concatenate(key_parts))
+    return store
+
+
 def _fast_apply(
     old: EdgeStore, rem: EdgeStore, add: EdgeStore, universe: int
 ) -> tuple[EdgeStore, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -105,86 +189,49 @@ def _fast_apply(
     store, the exact diff (cancellation already applied), and the indices
     of requested removals absent from *old* — or ``None`` when the shape
     cannot pack into 62 bits and the caller must take the lex-sort path.
+
+    The old store's keys come from its cache and the successor's are
+    spliced alongside its arrays (:func:`_splice`), so no step re-packs
+    the instance.  The key width only grows along a stream: keys padded
+    wider still order and match exactly, and a cached width already
+    covers every edge of *old* without a scan.
     """
-    width = 1
-    for store in (old, rem, add):
-        if store.num_edges:
-            width = max(width, int(store.sizes().max()))
     base = universe + 3
+    width = max((int(s.sizes().max()) for s in (rem, add) if s.num_edges), default=1)
+    cached = old._packed
+    if cached is not None and cached[0] == base:
+        width = max(width, cached[1])
+    elif old.num_edges:
+        width = max(width, int(old.sizes().max()))
     if width * math.log2(base) > _KEY_BITS:
         return None
-    keys_old = _packed_keys(old, base, width)
+    keys_old = _store_keys(old, base, width)
 
-    if rem.num_edges:
-        keys_rem = _packed_keys(rem, base, width)
-        pos = np.searchsorted(keys_old, keys_rem)
-        if keys_old.size:
-            found = (pos < keys_old.size) & (
-                keys_old[np.minimum(pos, keys_old.size - 1)] == keys_rem
-            )
-        else:
-            found = np.zeros(keys_rem.size, dtype=bool)
-        removed_all = pos[found].astype(np.intp)
-        missing = np.flatnonzero(~found)
-    else:
-        removed_all = np.empty(0, dtype=np.intp)
-        missing = np.empty(0, dtype=np.intp)
-
-    keep = np.ones(old.num_edges, dtype=bool)
-    keep[removed_all] = False
-    mid = old.select(keep) if removed_all.size else old
-    keys_mid = keys_old[keep] if removed_all.size else keys_old
-
-    if add.num_edges:
-        keys_add = _packed_keys(add, base, width)
-        pos2 = np.searchsorted(keys_mid, keys_add)
-        if keys_mid.size:
-            exists = (pos2 < keys_mid.size) & (
-                keys_mid[np.minimum(pos2, keys_mid.size - 1)] == keys_add
-            )
-        else:
-            exists = np.zeros(keys_add.size, dtype=bool)
-        fresh_mask = ~exists
-        fresh = add.select(fresh_mask)
-        keys_fresh = keys_add[fresh_mask]
-        ins = pos2[fresh_mask].astype(np.intp)
-        if fresh.num_edges:
-            fresh_sizes = fresh.sizes()
-            new_sizes = np.insert(mid.sizes(), ins, fresh_sizes)
-            new_indices = np.insert(
-                mid.indices, np.repeat(mid.indptr[ins], fresh_sizes), fresh.indices
-            )
-            new_indptr = np.zeros(new_sizes.size + 1, dtype=np.intp)
-            np.cumsum(new_sizes, out=new_indptr[1:])
-            new_store = EdgeStore.from_arrays(new_indptr, new_indices, canonical=True)
-            added_idx = ins + np.arange(fresh.num_edges, dtype=np.intp)
-        else:
-            new_store = mid
-            added_idx = np.empty(0, dtype=np.intp)
-    else:
-        keys_fresh = np.empty(0, dtype=np.int64)
-        new_store = mid
-        added_idx = np.empty(0, dtype=np.intp)
-
-    removed = removed_all
-    added = added_idx
-    if removed.size and added.size:
-        # A removed-then-re-added edge is unchanged: cancel it out of both
-        # sides so the reported diff is the true symmetric difference.
-        cancel_rem = np.isin(keys_old[removed], keys_fresh)
-        cancel_add = np.isin(keys_fresh, keys_old[removed])
-        removed = removed[~cancel_rem]
-        added = added[~cancel_add]
-    return new_store, removed, added, missing
+    pos, found = _locate(keys_old, _packed_keys(rem, base, width))
+    drop = pos[found]
+    missing = np.flatnonzero(~found)
+    keys_add = _packed_keys(add, base, width)
+    at, present = _locate(keys_old, keys_add)
+    if present.any():
+        # Adding a present edge changes nothing, and a removed-then-re-added
+        # edge is unchanged: cancel its removal so the reported diff is the
+        # true symmetric difference.
+        drop = drop[~_locate(at[present], drop)[1]]
+    at = at[~present]
+    if not drop.size and not at.size:
+        return old, drop, at, missing
+    new_store = _splice(old, keys_old, drop, add.select(~present), keys_add[~present], at)
+    # A fresh edge lands after every dropped edge before it and every
+    # fresh edge ahead of it in the batch.
+    added = at - np.searchsorted(drop, at) + np.arange(at.size, dtype=np.intp)
+    return new_store, drop, added, missing
 
 
 def _edge_ids_vertices(store: EdgeStore, edge_ids: np.ndarray) -> np.ndarray:
     """Sorted unique vertices of the given edges of *store*."""
     if edge_ids.size == 0:
         return np.empty(0, dtype=np.intp)
-    mask = np.zeros(store.num_edges, dtype=bool)
-    mask[edge_ids] = True
-    return np.unique(store.indices[store.position_mask(mask)])
+    return np.unique(store.subset(edge_ids).indices)
 
 
 def _edge_ids_tuples(store: EdgeStore, edge_ids: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -304,10 +351,10 @@ def apply_updates(
 
     new_vertices = np.asarray(H.vertices)
     if add_store.num_edges:
-        # Activate only the genuinely new vertices — an O(batch) insert
-        # into the sorted active array, not an O(n) set union.
-        active = H.vertex_mask()
-        novel = np.unique(add_store.indices[~active[add_store.indices]])
+        # Activate only the genuinely new vertices — an O(batch) lookup
+        # and insert into the sorted active array, not an O(n) set union.
+        touched = np.unique(add_store.indices)
+        novel = touched[~_locate(new_vertices, touched)[1]]
         if novel.size:
             new_vertices = np.insert(
                 new_vertices, np.searchsorted(new_vertices, novel), novel

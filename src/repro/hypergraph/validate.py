@@ -65,18 +65,54 @@ def _member_mask(H: Hypergraph, members: Iterable[int] | np.ndarray) -> np.ndarr
     return mask
 
 
+def _member_counts(H: Hypergraph, mask: np.ndarray) -> np.ndarray:
+    """Per-edge count of members: one matvec over the CSR incidence,
+    shared by both witnesses."""
+    if H.num_edges == 0:
+        return np.empty(0, dtype=np.int64)
+    return H.incidence() @ mask.astype(np.int64)
+
+
+def _first(flags: np.ndarray) -> int | None:
+    """Index of the first ``True`` in *flags*, or ``None``."""
+    if not flags.size:
+        return None
+    i = int(flags.argmax())
+    return i if flags[i] else None
+
+
+def _independence_witness(H: Hypergraph, counts: np.ndarray) -> tuple[int, ...] | None:
+    i = _first(counts == H.edge_sizes())
+    return None if i is None else H.store.edge(i)
+
+
+def _maximality_witness(H: Hypergraph, mask: np.ndarray, counts: np.ndarray) -> int | None:
+    active = H.vertices
+    free = ~mask[active]
+    if not free.any():
+        return None
+    near = np.flatnonzero(counts == H.edge_sizes() - 1)
+    if near.size:
+        # A near-complete edge has exactly one non-member vertex — the
+        # vertex it blocks — so its sum of non-member ids *is* that
+        # vertex: one more matvec, no per-position expansion.  An edge
+        # of size 1 ({v}) blocks v whenever v ∉ I (counts==0==size-1).
+        outside = np.arange(H.universe, dtype=np.int64) * ~mask
+        blocked = np.zeros(H.universe, dtype=bool)
+        blocked[(H.incidence() @ outside)[near]] = True
+        free &= ~blocked[active]
+    i = _first(free)
+    return None if i is None else int(active[i])
+
+
 def find_independence_witness(
     H: Hypergraph, members: Iterable[int] | np.ndarray
 ) -> tuple[int, ...] | None:
     """Return an edge fully contained in *members*, or ``None``.
 
-    One sparse matvec over the incidence matrix.
+    The first such edge in canonical order, from per-edge member counts.
     """
-    mask = _member_mask(H, members)
-    inside = H.edges_within(mask)
-    if inside.size:
-        return H.edges[int(inside[0])]
-    return None
+    return _independence_witness(H, _member_counts(H, _member_mask(H, members)))
 
 
 def is_independent(H: Hypergraph, members: Iterable[int] | np.ndarray) -> bool:
@@ -91,29 +127,12 @@ def find_maximality_witness(
 
     Vectorised: vertex ``v`` is blocked iff some edge ``e ∋ v`` has all its
     *other* vertices in ``I``; per edge this means ``|e ∩ I| = |e| − 1`` and
-    the one missing vertex is ``v``.  We compute per-edge member counts with
-    one matvec, then scan only the near-complete edges.
+    the one missing vertex is ``v``.  We compute per-edge member counts
+    once, then scan only the near-complete edges.  The witness is the
+    smallest free vertex.
     """
     mask = _member_mask(H, members)
-    active = H.vertices
-    candidates = active[~mask[active]]
-    if candidates.size == 0:
-        return None
-    blocked = np.zeros(H.universe, dtype=bool)
-    if H.num_edges:
-        counts = H.incidence() @ mask.astype(np.int64)
-        sizes = H.edge_sizes()
-        near = counts == sizes - 1
-        if near.any():
-            # A near-complete edge has exactly one non-member vertex — the
-            # vertex it blocks.  One gather over the near edges' positions.
-            store = H.store
-            blocked[
-                store.indices[store.position_mask(near) & ~mask[store.indices]]
-            ] = True
-        # An edge of size 1 ({v}) blocks v whenever v ∉ I (counts==0==size-1).
-    free = candidates[~blocked[candidates]]
-    return int(free[0]) if free.size else None
+    return _maximality_witness(H, mask, _member_counts(H, mask))
 
 
 def is_maximal_independent(H: Hypergraph, members: Iterable[int] | np.ndarray) -> bool:
@@ -127,6 +146,9 @@ def is_maximal_independent(H: Hypergraph, members: Iterable[int] | np.ndarray) -
 def check_mis(H: Hypergraph, members: Iterable[int] | np.ndarray) -> None:
     """Assert that *members* is an MIS of *H*; raise a witnessed violation otherwise.
 
+    Every edge and every active vertex is checked; the member counts are
+    computed once and shared by both witnesses.
+
     Raises
     ------
     IndependenceViolation
@@ -134,9 +156,11 @@ def check_mis(H: Hypergraph, members: Iterable[int] | np.ndarray) -> None:
     MaximalityViolation
         If some vertex outside the set could be added.
     """
-    edge = find_independence_witness(H, members)
+    mask = _member_mask(H, members)
+    counts = _member_counts(H, mask)
+    edge = _independence_witness(H, counts)
     if edge is not None:
         raise IndependenceViolation(edge)
-    v = find_maximality_witness(H, members)
+    v = _maximality_witness(H, mask, counts)
     if v is not None:
         raise MaximalityViolation(v)

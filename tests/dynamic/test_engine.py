@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamic import DynamicMIS
+from repro.dynamic.engine import _local_labels
 from repro.generators import churn_stream, sharded_hypergraph, uniform_hypergraph
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.components import component_labels
@@ -74,7 +77,54 @@ def test_label_maintenance_matches_fresh_labeling():
         engine.apply(batch.add_edges, batch.remove_edges, strict=False)
         fresh = component_labels(engine.hypergraph)
         active = engine.hypergraph.vertex_mask()
-        assert _partitions_equal(engine._labels[active], fresh[active])
+        comps = engine._components
+        assert _partitions_equal(comps.labels[active], fresh[active])
+        # The member index lists exactly the vertices under each live label.
+        live = np.unique(comps.labels[active])
+        assert sorted(comps.members) == live.tolist()
+        for lab, members in comps.members.items():
+            assert np.array_equal(members, np.flatnonzero(comps.labels == lab))
+
+
+@st.composite
+def candidate_regions(draw):
+    """A random hypergraph and a random vertex region of it."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    edges = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+            max_size=30,
+        )
+    )
+    region = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return Hypergraph(n, edges), np.asarray(sorted(region), dtype=np.intp)
+
+
+@given(candidate_regions())
+@settings(max_examples=200, deadline=None)
+def test_local_labels_partition_matches_component_labels(case):
+    H, cand = case
+    in_region = np.zeros(H.universe, dtype=bool)
+    in_region[cand] = True
+    store = H.store
+    inside = np.array(
+        [in_region[list(e)].all() for e in H.edges], dtype=bool
+    ).reshape(-1)
+    sub_store = store.select(inside)
+    local = _local_labels(cand, sub_store)
+    reference = component_labels(Hypergraph(H.universe, sub_store, vertices=cand))
+    assert _partitions_equal(local, reference[cand])
+    # Each label is a region index inside its own component.
+    assert np.array_equal(local[local], local)
+
+
+def test_local_labels_on_a_long_path():
+    # A path whose vertex order zig-zags, so labels travel both ways.
+    k = 200
+    perm = np.concatenate([np.arange(0, k, 2), np.arange(k - 1, 0, -2)])
+    H = Hypergraph(k, [(int(a), int(b)) for a, b in zip(perm[:-1], perm[1:])])
+    local = _local_labels(np.arange(k, dtype=np.intp), H.store)
+    assert np.all(local == 0)
 
 
 def test_noop_batch():

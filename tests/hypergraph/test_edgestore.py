@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hypergraph.edgestore import _PAD_LIMIT, EdgeStore
+from repro.hypergraph.edgestore import _PAD_LIMIT, EdgeStore, concat_ranges
 
 
 def reference_canonical(edges) -> tuple[tuple[int, ...], ...]:
@@ -91,6 +91,23 @@ class TestSelect:
         store = EdgeStore.from_iterable([(0, 1), (2, 3, 4), (5,)])
         mask = np.array([True, False, True])
         assert store.position_mask(mask).tolist() == [1, 1, 0, 0, 0, 1]
+
+    def test_subset_matches_select(self):
+        rng = np.random.default_rng(11)
+        for _, edges in random_edge_lists(seed=11, trials=40):
+            store = EdgeStore.from_iterable(edges)
+            mask = rng.random(store.num_edges) < 0.3
+            ids = np.flatnonzero(mask)
+            sub = store.subset(ids)
+            assert sub == store.select(mask)
+            assert np.array_equal(sub.sizes(), np.diff(sub.indptr))
+
+    def test_concat_ranges(self):
+        starts = np.array([3, 0, 7, 7], dtype=np.intp)
+        stops = np.array([5, 2, 7, 9], dtype=np.intp)
+        assert concat_ranges(starts, stops).tolist() == [3, 4, 0, 1, 7, 8]
+        empty = np.empty(0, dtype=np.intp)
+        assert concat_ranges(empty, empty).size == 0
 
 
 class TestTrim:

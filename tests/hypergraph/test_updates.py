@@ -7,7 +7,7 @@ import pytest
 
 from repro.hypergraph import Hypergraph, apply_updates, chain_hash, feed_tracker
 from repro.hypergraph.degrees import DeltaTracker
-from repro.hypergraph.updates import _fast_apply
+from repro.hypergraph.updates import _fast_apply, _packed_keys
 from repro.generators import uniform_hypergraph
 from repro.util.rng import as_generator
 
@@ -179,3 +179,78 @@ def test_feed_tracker_matches_from_hypergraph():
     fresh = DeltaTracker.from_hypergraph(upd.hypergraph)
     assert tracker.delta_by_size == fresh.delta_by_size
     assert tracker.delta() == fresh.delta()
+
+
+def _assert_cached_keys_fresh(store):
+    """The keys a store carries equal a from-scratch pack at their (base, width)."""
+    assert store._packed is not None
+    base, width, keys = store._packed
+    assert width >= (int(store.sizes().max()) if store.num_edges else 1)
+    assert np.array_equal(keys, _packed_keys(store, base, width))
+    assert np.all(np.diff(keys) > 0)
+
+
+def _step(state, chain, model, adds=(), removes=()):
+    out = apply_updates(state, add_edges=adds, remove_edges=removes,
+                        parent_chain=chain, strict=False)
+    model -= {tuple(sorted(e)) for e in removes}
+    model |= {tuple(sorted(e)) for e in adds}
+    assert set(out.hypergraph.edges) == model
+    # The spliced successor must agree with a store built from scratch.
+    fresh = Hypergraph(state.universe, sorted(model), vertices=out.hypergraph.vertices)
+    assert out.hypergraph.content_hash() == fresh.content_hash()
+    return out
+
+
+def test_cached_keys_match_repack_along_churn_stream():
+    rng = as_generator(2024)
+    H = uniform_hypergraph(60, 90, 3, seed=5)
+    state, chain, model = H, None, set(H.edges)
+    kinds = ["add", "remove", "noop", "cancel", "mixed"] * 8
+    for kind in (kinds[int(i)] for i in rng.permutation(len(kinds))):
+        present = sorted(model)
+        pick = [present[int(i)] for i in rng.choice(len(present), size=3, replace=False)]
+        fresh = [tuple(sorted(int(v) for v in rng.choice(60, size=int(rng.integers(2, 5)),
+                                                         replace=False)))
+                 for _ in range(3)]
+        if kind == "add":
+            out = _step(state, chain, model, adds=fresh)
+        elif kind == "remove":
+            out = _step(state, chain, model, removes=pick)
+        elif kind == "noop":
+            # Re-adding present edges and removing absent ones changes nothing.
+            absent = [e for e in fresh if e not in model]
+            out = _step(state, chain, model, adds=pick, removes=absent)
+            assert out.is_noop
+        elif kind == "cancel":
+            out = _step(state, chain, model, adds=pick, removes=pick)
+            assert out.is_noop
+        else:
+            out = _step(state, chain, model, adds=fresh + pick[:1], removes=pick)
+        _assert_cached_keys_fresh(out.hypergraph.store)
+        state, chain = out.hypergraph, out.chain
+
+
+def test_cached_keys_survive_a_detour_through_the_general_path():
+    # base = 303: seven digits fit 62 bits, eight do not.
+    universe = 300
+    H = Hypergraph(universe, [(0, 1, 2), (3, 4, 5), (10, 20, 30)])
+    state, chain, model = H, None, set(H.edges)
+    out = _step(state, chain, model, adds=[(1, 2, 3, 4)])
+    _assert_cached_keys_fresh(out.hypergraph.store)
+    state, chain = out.hypergraph, out.chain
+
+    wide = tuple(range(100, 108))
+    out = _step(state, chain, model, adds=[wide], removes=[(0, 1, 2)])
+    assert out.hypergraph.store._packed is None  # built by the general path
+    state, chain = out.hypergraph, out.chain
+    out = _step(state, chain, model, adds=[(7, 8, 9)], removes=[wide])
+    assert out.hypergraph.store._packed is None  # the old store was still wide
+    state, chain = out.hypergraph, out.chain
+
+    # Back in the packed shape: keys are packed once, then spliced again.
+    out = _step(state, chain, model, adds=[(0, 1, 2)], removes=[(3, 4, 5)])
+    _assert_cached_keys_fresh(out.hypergraph.store)
+    state, chain = out.hypergraph, out.chain
+    out = _step(state, chain, model, adds=[(3, 4, 5), (50, 60)], removes=[(7, 8, 9)])
+    _assert_cached_keys_fresh(out.hypergraph.store)

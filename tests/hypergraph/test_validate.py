@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hypergraph import (
     Hypergraph,
@@ -117,3 +119,110 @@ class TestCheckMis:
     def test_exception_str(self):
         assert "edge" in str(IndependenceViolation((0, 1)))
         assert "vertex" in str(MaximalityViolation(3))
+
+
+# ---------------------------------------------------------------------------
+# check_mis against the definitions, on random instances
+# ---------------------------------------------------------------------------
+
+
+def _reference_violation(H, members):
+    """``(exception type, witness)`` straight from the definitions, or ``None``.
+
+    The witness is the first contained edge in canonical order, else the
+    smallest active non-member whose addition creates no edge.
+    """
+    inside = set(members)
+    for e in H.edges:
+        if set(e) <= inside:
+            return IndependenceViolation, e
+    for v in H.vertices.tolist():
+        if v in inside:
+            continue
+        if not any(set(e) <= inside | {v} for e in H.edges):
+            return MaximalityViolation, v
+    return None
+
+
+def _greedy_mis(H, order):
+    chosen: set[int] = set()
+    for v in order:
+        if not any(set(e) <= chosen | {v} for e in H.edges):
+            chosen.add(v)
+    return chosen
+
+
+@st.composite
+def certificate_cases(draw):
+    """An instance (size-1 edges, empty edge sets and inactive vertices
+    allowed) and a member set: arbitrary, a true MIS, or an MIS with one
+    planted independence or maximality violation."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    active = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    edges = draw(
+        st.lists(
+            st.lists(st.sampled_from(sorted(active)), min_size=1, max_size=4, unique=True),
+            max_size=10,
+        )
+    )
+    H = Hypergraph(n, edges, vertices=active)
+    order = draw(st.permutations(sorted(active)))
+    mis = _greedy_mis(H, order)
+    mode = draw(st.sampled_from(["arbitrary", "mis", "plant-dependent", "plant-free"]))
+    if mode == "arbitrary":
+        # May hold inactive vertices: they never count toward maximality.
+        members = set(draw(st.lists(st.integers(0, n - 1), unique=True)))
+    elif mode == "mis":
+        members = mis
+    elif mode == "plant-dependent":
+        outside = sorted(set(active) - mis)
+        members = mis | ({draw(st.sampled_from(outside))} if outside else set())
+    else:
+        members = mis - ({draw(st.sampled_from(sorted(mis)))} if mis else set())
+    return H, sorted(members)
+
+
+class TestCheckMisAgainstDefinition:
+    @given(certificate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_exception_and_witness(self, case):
+        H, members = case
+        expected = _reference_violation(H, members)
+        if expected is None:
+            check_mis(H, members)
+            check_mis(H, np.asarray(members, dtype=np.intp))
+            return
+        kind, witness = expected
+        with pytest.raises(kind) as exc:
+            check_mis(H, members)
+        got = exc.value.edge if kind is IndependenceViolation else exc.value.vertex
+        assert got == witness
+        assert type(got) is type(witness)
+
+    @given(certificate_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_witness_finders_agree_with_definition(self, case):
+        H, members = case
+        expected = _reference_violation(H, members)
+        edge = find_independence_witness(H, members)
+        if expected is not None and expected[0] is IndependenceViolation:
+            assert edge == expected[1]
+            return
+        assert edge is None
+        want = expected[1] if expected is not None else None
+        assert find_maximality_witness(H, members) == want
+
+    def test_planted_violations_on_size_one_and_empty_edge_sets(self):
+        H = Hypergraph(4, [(2,), (0, 1)])
+        with pytest.raises(IndependenceViolation) as exc:
+            check_mis(H, [0, 2, 3])
+        assert exc.value.edge == (2,)
+        with pytest.raises(MaximalityViolation) as exc:
+            check_mis(H, [0])
+        assert exc.value.vertex == 3
+        check_mis(H, [0, 3])
+        empty = Hypergraph(3, [], vertices=[0, 2])
+        with pytest.raises(MaximalityViolation) as exc:
+            check_mis(empty, [0, 1])
+        assert exc.value.vertex == 2
+        check_mis(empty, [0, 2])
