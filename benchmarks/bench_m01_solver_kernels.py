@@ -8,9 +8,8 @@ cleanup, KUW prefix computation, greedy scan) show up as timing shifts.
 The solver entries pin their execution backend with ``use_kernel`` so
 each entry keeps measuring the same code path as the dispatcher evolves:
 the historical ``bl``/``kuw``/``permutation``/``greedy`` entries are the
-CSR path, ``bl_bitset`` is the dense engine (acceptance floor: ≥ 10×
-the ``bl`` median), and ``bl_jit`` exists only where numba is installed
-(the with-numba CI leg).
+CSR path and ``bl_bitset`` is the dense engine (acceptance floor: ≥ 10×
+the ``bl`` median).
 
 The widened dense envelope adds two fenced pairs beyond the old
 ``dimension ≤ 3`` / ``universe ≤ 2048`` ceiling: ``bl_wide`` /
@@ -30,7 +29,6 @@ from repro.hypergraph import check_mis
 from repro.hypergraph.degrees import degree_profile
 from repro.hypergraph.ops import normalize
 from repro.kernels import use_kernel
-from repro.kernels.jit import HAVE_NUMBA
 
 N, M, D = 400, 800, 3
 #: Beyond the old dense ceiling: universe 4096 (was ≤ 2048) …
@@ -87,12 +85,6 @@ def test_kernel_bl_bitset(benchmark, instance):
     res = benchmark(
         lambda: _forced("bitset", beame_luby, instance, seed=1, trace=False)
     )
-    check_mis(instance, res.independent_set)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_kernel_bl_jit(benchmark, instance):
-    res = benchmark(lambda: _forced("jit", beame_luby, instance, seed=1, trace=False))
     check_mis(instance, res.independent_set)
 
 

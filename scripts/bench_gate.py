@@ -72,7 +72,6 @@ FORENSIC_SOLVERS: dict[str, tuple[str, str, dict]] = {
     "permutation": ("csr", "permutation_bl", {"trace": False}),
     "bl": ("csr", "beame_luby", {"trace": False}),
     "bl_bitset": ("bitset", "beame_luby", {"trace": False}),
-    "bl_jit": ("jit", "beame_luby", {"trace": False}),
 }
 
 

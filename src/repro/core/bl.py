@@ -32,11 +32,9 @@ from repro.core.result import MISResult, RoundRecord
 from repro.hypergraph.degrees import DeltaTracker, degree_profile
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.ops import normalize, normalize_after_trim, trim_vertices
-from repro.kernels.bl_dense import beame_luby_dense
 from repro.kernels.bl_frontier import beame_luby_frontier
 from repro.kernels.bl_scalar import beame_luby_scalar
 from repro.kernels.dispatch import select_backend
-from repro.kernels.jit import row_kernels
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.pram.backend import ExecutionBackend, SerialBackend
@@ -254,12 +252,7 @@ def beame_luby(
         if on_round is not None:
             blockers.append("on_round")
         decision = select_backend(H, blockers=tuple(blockers))
-        if decision.backend == "jit":
-            result = beame_luby_dense(
-                H, seed, mach, recompute_probability, marking_probability,
-                max_rounds, trace, kern=row_kernels(True), trc=trc,
-            )
-        elif decision.dense and H.dimension > 3:
+        if decision.dense and H.dimension > 3:
             result = beame_luby_frontier(
                 H, seed, mach, recompute_probability, marking_probability,
                 max_rounds, trace, trc=trc,

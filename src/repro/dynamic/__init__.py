@@ -9,10 +9,11 @@ paying for a full re-solve when the change is small:
   re-solve only those (greedy along a global priority order, so the
   repaired answer is *bit-identical* to recompute-from-scratch), splice,
   and certify against the updated hypergraph.
-* :mod:`repro.dynamic.costmodel` — the repair-vs-recompute dispatcher:
-  a measured per-shape-bucket crossover delta-fraction
-  (``DYNAMIC_CALIBRATION.json``, machine-gated) with a static threshold
-  fallback, mirroring :mod:`repro.kernels.costmodel`.
+  Each batch is routed to repair or recompute by
+  :func:`~repro.dynamic.engine.decide_strategy`: a measured
+  per-shape-bucket crossover delta-fraction (``DYNAMIC_CALIBRATION.json``,
+  machine-gated by :mod:`repro.util.calibration`) with a static threshold
+  fallback.
 
 The batch-update primitive itself —
 :func:`repro.hypergraph.updates.apply_updates` with its exact structural
@@ -20,21 +21,15 @@ diff and content-hash chaining — lives on the hypergraph layer so
 non-dynamic callers (caches, the service) can reuse it.
 """
 
-from repro.dynamic.costmodel import (
-    DEFAULT_CALIBRATION_PATH,
-    ENV_CALIBRATION,
+from repro.dynamic.engine import (
+    DYNAMIC_CALIBRATION,
     STATIC_CROSSOVER_FRACTION,
-    CrossoverCalibration,
-    DynamicCalibrationError,
+    DynamicMIS,
     StrategyDecision,
-    calibration_path,
+    UpdateOutcome,
     decide_strategy,
     delta_band,
-    invalidate_calibration_cache,
-    load_calibration,
-    usable_calibration,
 )
-from repro.dynamic.engine import DynamicMIS, UpdateOutcome
 
 __all__ = [
     "DynamicMIS",
@@ -42,13 +37,6 @@ __all__ = [
     "StrategyDecision",
     "decide_strategy",
     "delta_band",
-    "CrossoverCalibration",
-    "DynamicCalibrationError",
-    "load_calibration",
-    "usable_calibration",
-    "calibration_path",
-    "invalidate_calibration_cache",
-    "DEFAULT_CALIBRATION_PATH",
-    "ENV_CALIBRATION",
+    "DYNAMIC_CALIBRATION",
     "STATIC_CROSSOVER_FRACTION",
 ]

@@ -4,8 +4,8 @@ The engine keeps ``(H_t, I_t)`` — the current hypergraph and a maximal
 independent set of it — and applies update batches through
 :func:`repro.hypergraph.updates.apply_updates`.  Per batch it either
 **repairs** (re-solve only the affected components and splice the patch
-into the frozen remainder) or **recomputes** from scratch, routed by the
-measured crossover in :mod:`repro.dynamic.costmodel`.
+into the frozen remainder) or **recomputes** from scratch, routed by
+:func:`decide_strategy` (see "Repair or recompute" below).
 
 Why repair is exact, not approximate
 ------------------------------------
@@ -31,6 +31,21 @@ shape qualifies.
 Every update still ends in an explicit certificate pass
 (:func:`repro.hypergraph.validate.check_mis` on the *updated* hypergraph)
 unless ``validate=False`` — trust the theorem, verify the code.
+
+Repair or recompute
+-------------------
+Small batches should be repaired in place (cost scales with the affected
+region); large ones should recompute (repair's localisation overhead —
+component labelling plus the splice — stops paying for itself).  The
+crossover depends on the machine and the instance shape, so
+:func:`decide_strategy` compares the batch's delta fraction against a
+measured per-shape-bucket crossover (``DYNAMIC_CALIBRATION.json``, loaded
+and machine-gated by :mod:`repro.util.calibration`, produced by
+``scripts/calibrate.py``) and against :data:`STATIC_CROSSOVER_FRACTION`
+where no usable calibration covers the bucket.
+
+>>> delta_band(0.03)
+'lt5pct'
 """
 
 from __future__ import annotations
@@ -43,7 +58,6 @@ import numpy as np
 
 from repro.core.greedy import greedy_mis
 from repro.core.result import RoundRecord
-from repro.dynamic.costmodel import decide_strategy
 from repro.hypergraph.components import component_labels
 from repro.hypergraph.edgestore import concat_ranges
 from repro.hypergraph.hypergraph import EdgeLike, Hypergraph
@@ -51,11 +65,108 @@ from repro.hypergraph.updates import UpdateResult, apply_updates
 from repro.hypergraph.validate import check_mis
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
+from repro.util.calibration import (
+    CalibrationTable,
+    active_calibration,
+    bounded_number,
+    shape_bucket,
+)
 from repro.util.rng import SeedLike, as_generator
 
-__all__ = ["DynamicMIS", "UpdateOutcome"]
+__all__ = [
+    "DYNAMIC_CALIBRATION",
+    "STATIC_CROSSOVER_FRACTION",
+    "DynamicMIS",
+    "StrategyDecision",
+    "UpdateOutcome",
+    "decide_strategy",
+    "delta_band",
+]
 
 _STRATEGIES = ("auto", "repair", "recompute")
+
+#: Delta-fraction above which recompute wins when no calibration applies.
+#: Conservative: repair's fixed overhead (diff + component labeling) is
+#: vectorised while the greedy scan it avoids is per-vertex Python, so the
+#: measured crossover usually sits far higher.
+STATIC_CROSSOVER_FRACTION = 0.25
+
+#: Delta-fraction band upper bounds (exclusive), smallest first; used only
+#: for the low-cardinality decision counters, never for dispatch itself.
+_DELTA_BANDS: tuple[tuple[float, str], ...] = (
+    (0.01, "lt1pct"),
+    (0.05, "lt5pct"),
+    (0.20, "lt20pct"),
+)
+_DELTA_TOP = "ge20pct"
+
+
+def _crossover(entry: object) -> float:
+    """One dynamic-table bucket: the measured crossover delta fraction."""
+    if not isinstance(entry, dict) or "crossover_fraction" not in entry:
+        raise ValueError("must be an object with crossover_fraction")
+    return bounded_number(entry["crossover_fraction"], "crossover_fraction", hi=1.0)
+
+
+#: The repair-vs-recompute crossover: ``DYNAMIC_CALIBRATION.json`` at the
+#: repo root, or the path in ``REPRO_DYNAMIC_CALIBRATION``.
+DYNAMIC_CALIBRATION = CalibrationTable(
+    "dynamic", "DYNAMIC_CALIBRATION.json", "REPRO_DYNAMIC_CALIBRATION", _crossover
+)
+
+
+@dataclass(frozen=True)
+class StrategyDecision:
+    """One repair-vs-recompute routing decision, with its audit trail."""
+
+    strategy: str  # "repair" | "recompute"
+    reason: str
+    bucket: str  # shape bucket (kernel vocabulary, e.g. "d3-u4k")
+    band: str  # delta-fraction band (e.g. "lt1pct")
+    threshold: float
+    mode: str  # "cost-model" | "static"
+
+
+def delta_band(fraction: float) -> str:
+    """Low-cardinality label for a delta fraction (counter dimension)."""
+    for bound, label in _DELTA_BANDS:
+        if fraction < bound:
+            return label
+    return _DELTA_TOP
+
+
+def decide_strategy(
+    delta_fraction: float, dimension: int, universe: int
+) -> StrategyDecision:
+    """Route one update batch: repair in place or recompute from scratch.
+
+    The batch's *delta fraction* (changed edges over ``|E_old ∪ E_new|``)
+    is compared against the crossover for the instance's shape bucket —
+    measured when a usable calibration covers the bucket, the static
+    threshold otherwise.
+    """
+    bucket = shape_bucket(dimension, universe)
+    band = delta_band(delta_fraction)
+    cal = active_calibration(DYNAMIC_CALIBRATION)
+    if cal is not None and bucket in cal.buckets:
+        threshold = cal.buckets[bucket]
+        mode = "cost-model"
+    else:
+        threshold = STATIC_CROSSOVER_FRACTION
+        mode = "static"
+    strategy = "repair" if delta_fraction <= threshold else "recompute"
+    reason = (
+        f"{mode}: delta {delta_fraction:.4f} "
+        f"{'<=' if strategy == 'repair' else '>'} crossover {threshold:.4f} [{bucket}]"
+    )
+    return StrategyDecision(
+        strategy=strategy,
+        reason=reason,
+        bucket=bucket,
+        band=band,
+        threshold=threshold,
+        mode=mode,
+    )
 
 
 def _local_labels(cand: np.ndarray, sub_store) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Shape-dispatched execution kernels for the solver hot loops.
 
-``repro.kernels`` is the second execution path of the solvers: a dense
-(bitset / incidence-block) engine for small-universe, low-dimension
-instances, with optional numba-compiled inner kernels.  The CSR path in
-``repro.core`` remains the general-case implementation; the dispatcher
-(:mod:`repro.kernels.dispatch`) chooses per solve, and every engine is
-bit-identical per seed — the backend is an execution detail, never an
-algorithmic one.
+``repro.kernels`` is the second execution path of the solvers: dense
+engines for small-universe, low-dimension instances — the scalar engine
+for dimension ≤ 3, the frontier engine for dimension 4–8, and the packed
+:class:`~repro.kernels.bitstore.BitEdgeStore` layout for the KUW and
+permutation scans.  The CSR path in ``repro.core`` remains the
+general-case implementation; the dispatcher (:mod:`repro.kernels.dispatch`)
+chooses per solve, and every engine is bit-identical per seed — the
+backend is an execution detail, never an algorithmic one.
 
 Backend selection
 -----------------
@@ -17,12 +18,7 @@ The requested kernel comes from, in priority order:
 3. the default, ``auto``.
 
 Values: ``auto`` (shape-based choice between ``csr`` and ``bitset``),
-``csr`` (always the CSR path), ``bitset`` (dense engine where capable),
-``jit`` (dense engine with numba inner kernels; silently degrades to
-``bitset`` when numba is absent).  ``auto`` never selects ``jit`` — an
-optional dependency must be asked for, so a run's execution stack does not
-depend on what happens to be installed (results are identical either way,
-but benchmarks and traces should not drift silently).
+``csr`` (always the CSR path) and ``bitset`` (dense engine where capable).
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from typing import Iterator
 __all__ = ["VALID_KERNELS", "DEFAULT_KERNEL", "current_kernel", "use_kernel"]
 
 #: Recognised values of ``REPRO_KERNEL`` / :func:`use_kernel`.
-VALID_KERNELS = ("auto", "csr", "bitset", "jit")
+VALID_KERNELS = ("auto", "csr", "bitset")
 
 DEFAULT_KERNEL = "auto"
 

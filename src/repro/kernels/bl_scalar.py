@@ -1,35 +1,38 @@
-"""Scalar-frontier Beame–Luby engine — the ``bitset`` backend's round body.
+"""Scalar-frontier Beame–Luby engine — the ``bitset`` backend for d ≤ 3.
 
 This is the fastest exact BL engine for small-universe, low-dimension
-instances.  It shares the upfront packed-incidence-block normalisation
-with :mod:`repro.kernels.bl_dense` and the same
-:class:`~repro.kernels.rng.RoundRngPlan` coin stream, but runs the round
-body on scalar adjacency lists instead of vectorised array passes.
+instances.  It normalises once into a padded incidence block (the row
+layout of :class:`~repro.kernels.bitstore.BitEdgeStore`), draws the same
+:class:`~repro.kernels.rng.RoundRngPlan` coin stream as the CSR path, and
+runs the round body on scalar adjacency lists instead of per-round CSR
+hypergraph successors.
 
 Why scalar beats vectorised here
 --------------------------------
-Profiling the BENCH_m01 instance (n=400, m=800, d=3) shows the dense
-engine's cost is *call dispatch*, not element work: a BL round marks very
-few vertices (p ≈ 1/(2^{d+1}Δ); observed mean < 2, max 9 marked per
+Profiling the BENCH_m01 instance (n=400, m=800, d=3) shows a vectorised
+round body's cost is *call dispatch*, not element work: a BL round marks
+very few vertices (p ≈ 1/(2^{d+1}Δ); observed mean < 2, max 9 marked per
 round), so each round touches only the handful of edges incident to the
-marked set — but the vectorised round body still pays ~40 NumPy-call
-overheads on arrays whose median size is < 100.  The scalar body walks
-exactly the touched edges via per-vertex incidence lists: a few dozen
-dict/set operations per round, with NumPy kept only where it is genuinely
+marked set — but a vectorised body still pays ~40 NumPy-call overheads on
+arrays whose median size is < 100.  The scalar body walks exactly the
+touched edges via per-vertex incidence lists: a few dozen dict/set
+operations per round, with NumPy kept only where it is genuinely
 vectorised work (the per-round coin draw, which must be the exact
 ``Generator.random(n)`` fill anyway).
 
 Bit-identity
 ------------
-Same contract as the dense engine (see :mod:`repro.kernels.bl_dense`):
-identical coins (``RoundRngPlan``), identical per-round records, machine
+Identical coins (``RoundRngPlan``), identical per-round records, machine
 charges, solver counters and metadata.  The cleanup phases run in the
 same logical order as ``normalize_after_trim`` — trim, singleton/red
 pass, stale-pair clear, shrunken-row dedup, containment, Δ bookkeeping —
 and every count (``Δ`` maxima, ``num3``, ``m_alive``) is maintained with
-the same integer semantics, so the two engines (and the CSR path) are
-interchangeable bit for bit.  The equivalence is pinned by
-``tests/kernels`` and the ``repro.qa`` differential subjects.
+the same integer semantics as the CSR cleanup and the
+:class:`~repro.hypergraph.degrees.DeltaTracker`, so this engine, the
+frontier engine and the CSR path are interchangeable bit for bit.  The
+equivalence is pinned by ``tests/kernels`` and the ``repro.qa``
+differential subjects.  (The CSR-internal ``edgestore/*`` counters do not
+apply to this path and are intentionally not simulated.)
 """
 
 from __future__ import annotations
@@ -40,13 +43,81 @@ import numpy as np
 
 from repro.core.result import MISResult, RoundRecord
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.kernels.bl_dense import _dense_normalize
 from repro.kernels.rng import RoundRngPlan
 from repro.obs import metrics as obs_metrics
 from repro.pram.machine import Machine, NullMachine
 from repro.util.rng import SeedLike
 
 __all__ = ["beame_luby_scalar"]
+
+#: Largest universe whose upfront containment test uses a dense ``U²``
+#: pair-stamp table; above it the same test runs over sorted pair keys.
+_PAIR_TABLE_MAX_UNIVERSE = 2048
+
+
+def _dense_normalize(
+    H: Hypergraph,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Upfront cleanup matching :func:`repro.hypergraph.ops.normalize` for d ≤ 3.
+
+    Returns ``(block, sizes, active, red)`` where *block* is the ``(m, 3)``
+    padded incidence block of the surviving edges, *active* the surviving
+    vertex ids and *red* the (sorted) vertices removed by singleton
+    cleanup.  For dimension ≤ 3 one pass reaches the fixed point: proper
+    containment is either "touches a singleton's vertex" (subsumed by the
+    red discard) or "3-row contains a 2-row's pair", and dropping edges
+    creates no new singletons or containments.
+    """
+    U = H.universe
+    store = H.store
+    sizes = store.sizes().astype(np.intp, copy=True)
+    m = sizes.size
+    block = np.full((m, 3), U, dtype=np.intp)
+    if m:
+        rows = np.repeat(np.arange(m, dtype=np.intp), sizes)
+        cols = np.arange(store.indices.size, dtype=np.intp) - np.repeat(
+            store.indptr[:-1], sizes
+        )
+        block[rows, cols] = store.indices
+
+    active = np.asarray(H.vertices, dtype=np.intp)
+    if m == 0:
+        return block, sizes, active.copy(), np.empty(0, dtype=np.intp)
+
+    dead = np.zeros(m, dtype=bool)
+    singles = sizes == 1
+    if singles.any():
+        red = np.unique(block[singles, 0])
+        red_ext = np.zeros(U + 1, dtype=bool)
+        red_ext[red] = True
+        dead |= red_ext[block].any(axis=1)
+        active = active[~red_ext[active]]
+    else:
+        red = np.empty(0, dtype=np.intp)
+
+    two = sizes == 2
+    three = sizes == 3
+    if two.any() and three.any():
+        b2 = block[two]
+        b3 = block[three]
+        k01 = b3[:, 0] * U + b3[:, 1]
+        k02 = b3[:, 0] * U + b3[:, 2]
+        k12 = b3[:, 1] * U + b3[:, 2]
+        if U <= _PAIR_TABLE_MAX_UNIVERSE:
+            pair_seen = np.zeros(U * U, dtype=np.int8)
+            pair_seen[b2[:, 0] * U + b2[:, 1]] = 1
+            sup = (pair_seen[k01] | pair_seen[k02] | pair_seen[k12]).astype(bool)
+        else:
+            # The U² stamp table would not fit, so the same membership test
+            # runs over sorted pair keys.  Identical drop set, memory
+            # O(#pairs).
+            k2 = np.unique(b2[:, 0] * U + b2[:, 1])
+            sup = np.isin(k01, k2) | np.isin(k02, k2) | np.isin(k12, k2)
+        idx3 = np.flatnonzero(three)
+        dead[idx3[sup]] = True
+
+    keep = ~dead
+    return block[keep], sizes[keep], active, red
 
 
 def beame_luby_scalar(
@@ -92,7 +163,7 @@ def beame_luby_scalar(
             adj[v].append(i)
     active: list[int] = active_arr.tolist()
 
-    # -- incremental Δ state (same integers as the dense engine) --------
+    # -- incremental Δ state (same integers as the CSR DeltaTracker) ---
     # Vertex degrees among 2-/3-rows and pair multiplicities among 3-rows,
     # each with a multiplicity histogram and a cached max that is walked
     # down lazily (degrees among 3-rows and pair counts only decrease;

@@ -11,12 +11,12 @@ representation).
 
 In ``auto`` mode the choice between CSR and the bitset engines is made by
 a **measured cost model** when a calibration file exists
-(:mod:`repro.kernels.costmodel`; produced by
-``scripts/kernel_calibrate.py``, ignored unless its
-``provenance.machine_id`` matches this machine): the instance's shape
-bucket looks up which backend actually measured faster here.  Without a
-usable calibration — or for a bucket the probe did not cover — the static
-envelope below decides, exactly as before.
+(``KERNEL_CALIBRATION.json``, loaded through
+:mod:`repro.util.calibration`; produced by ``scripts/calibrate.py``,
+ignored unless its ``provenance.machine_id`` matches this machine): the
+instance's shape bucket looks up which backend actually measured faster
+here.  Without a usable calibration — or for a bucket the probe did not
+cover — the static envelope below decides.
 
 The contract the dispatcher relies on — and the differential fuzz subjects
 enforce — is that **all backends are bit-identical per seed**, so this
@@ -42,25 +42,24 @@ from dataclasses import dataclass
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import current_kernel
-from repro.kernels.bl_dense import BLOCK_MAX_DIMENSION, BLOCK_MAX_UNIVERSE
-from repro.kernels.costmodel import (
-    CostCalibration,
-    calibration_path,
-    preferred_backend,
-    shape_bucket,
-    usable_calibration,
-)
-from repro.kernels.jit import HAVE_NUMBA
 from repro.obs import metrics as obs_metrics
+from repro.util.calibration import (
+    Calibration,
+    CalibrationTable,
+    active_calibration,
+    bounded_number,
+    shape_bucket,
+)
 
 __all__ = [
     "DENSE_MAX_DIMENSION",
     "DENSE_MAX_UNIVERSE",
+    "KERNEL_CALIBRATION",
     "ShapeFeatures",
     "KernelDecision",
     "dense_capable",
+    "preferred_backend",
     "select_backend",
-    "invalidate_calibration_cache",
 ]
 
 #: The dense envelope: what *some* dense engine can represent.  The
@@ -68,9 +67,7 @@ __all__ = [
 #: dimension ≤ 3 (bespoke degree/pair histograms), the frontier engine
 #: dimension 4+ (generic lists + the shared Δ tracker) — and both keep
 #: per-vertex state O(universe), so the bound is set by acceptable
-#: allocation, not table blow-up.  The numba block engine keeps its own
-#: tighter bounds (``BLOCK_MAX_*`` in :mod:`repro.kernels.bl_dense`): its
-#: pair tables are dense U² arrays.
+#: allocation, not table blow-up.
 DENSE_MAX_DIMENSION = 8
 DENSE_MAX_UNIVERSE = 65536
 
@@ -102,7 +99,7 @@ class ShapeFeatures:
 class KernelDecision:
     """Outcome of one dispatch: the backend to run and the (counted) reason."""
 
-    backend: str  # "csr" | "bitset" | "jit"
+    backend: str  # "csr" | "bitset"
     reason: str
 
     @property
@@ -121,25 +118,41 @@ def dense_capable(H: Hypergraph) -> bool:
     return H.dimension <= DENSE_MAX_DIMENSION and H.universe <= DENSE_MAX_UNIVERSE
 
 
-#: One-slot cache for the usable-calibration lookup, keyed by resolved
-#: path: dispatch runs on every solve and must not re-read/validate the
-#: JSON each time.  ``None`` is cached too (missing/invalid/mismatched).
-_CAL_CACHE: dict[str, CostCalibration | None] = {}
+#: The backends the calibration probe races.
+_RACED = ("csr", "bitset")
 
 
-def invalidate_calibration_cache() -> None:
-    """Drop the cached calibration (tests; after rewriting the file)."""
-    _CAL_CACHE.clear()
+def _timings(entry: object) -> dict[str, float]:
+    """One kernel-table bucket: median solve ns per raced backend."""
+    if not isinstance(entry, dict):
+        raise ValueError("must be an object")
+    timings = {}
+    for backend in _RACED:
+        if backend not in entry:
+            raise ValueError(f"is missing {backend!r}")
+        timings[backend] = bounded_number(entry[backend], repr(backend))
+    return timings
 
 
-def _active_calibration() -> CostCalibration | None:
-    path = calibration_path()
-    key = str(path)
-    if key not in _CAL_CACHE:
-        if len(_CAL_CACHE) > 8:  # env churn in long-lived test processes
-            _CAL_CACHE.clear()
-        _CAL_CACHE[key] = usable_calibration(path)
-    return _CAL_CACHE[key]
+#: The kernel cost model: ``KERNEL_CALIBRATION.json`` at the repo root, or
+#: the path in ``REPRO_KERNEL_CALIBRATION`` (CI points it at a committed
+#: fixture to pin the honouring behaviour).
+KERNEL_CALIBRATION = CalibrationTable(
+    "kernels", "KERNEL_CALIBRATION.json", "REPRO_KERNEL_CALIBRATION", _timings
+)
+
+
+def preferred_backend(cal: Calibration, features: ShapeFeatures) -> str | None:
+    """The measured-faster backend for this shape, or ``None`` if uncovered.
+
+    ``None`` means the calibration has no entry for the instance's bucket
+    and dispatch should fall back to the static envelope.  A tie goes to
+    ``bitset``.
+    """
+    entry = cal.buckets.get(shape_bucket(features.dimension, features.universe))
+    if entry is None:
+        return None
+    return "bitset" if entry["bitset"] <= entry["csr"] else "csr"
 
 
 def select_backend(
@@ -172,21 +185,10 @@ def select_backend(
     elif not dense_capable(H):
         reason = "auto:shape-sparse" if req == "auto" else "unsupported-shape"
         decision = KernelDecision("csr", reason)
-    elif req == "jit":
-        if not HAVE_NUMBA:
-            decision = KernelDecision("bitset", "fallback:jit-unavailable")
-        elif (
-            H.dimension <= BLOCK_MAX_DIMENSION and H.universe <= BLOCK_MAX_UNIVERSE
-        ):
-            decision = KernelDecision("jit", "forced:jit")
-        else:
-            # In-envelope but beyond the block engine's U² tables: degrade
-            # to the scalar/frontier engines rather than all the way to CSR.
-            decision = KernelDecision("bitset", "fallback:jit-shape")
     elif req == "bitset":
         decision = KernelDecision("bitset", "forced:bitset")
     else:
-        cal = _active_calibration()
+        cal = active_calibration(KERNEL_CALIBRATION)
         pick = preferred_backend(cal, ShapeFeatures.of(H)) if cal is not None else None
         if pick is not None:
             mode = "cost-model"

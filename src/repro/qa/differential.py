@@ -131,7 +131,6 @@ SOLVERS: tuple[SolverSpec, ...] = (
     SolverSpec("linear", linear_hypergraph_mis, is_linear),
     SolverSpec("bl-csr", _forced_kernel(beame_luby, "csr"), dense_capable),
     SolverSpec("bl-bitset", _forced_kernel(beame_luby, "bitset"), dense_capable),
-    SolverSpec("bl-jit", _forced_kernel(beame_luby, "jit"), dense_capable),
 )
 
 _BY_NAME: Mapping[str, SolverSpec] = {s.name: s for s in SOLVERS}
@@ -247,7 +246,7 @@ def run_case(
     # Dispatch contract: every BL kernel backend is bit-identical per seed.
     ref = results.get("bl-csr")
     if ref is not None:
-        for name in ("bl", "bl-bitset", "bl-jit"):
+        for name in ("bl", "bl-bitset"):
             other = results.get(name)
             if other is not None and not np.array_equal(ref, other):
                 failures.append(
@@ -316,7 +315,7 @@ def _metamorphic(
         return failures
 
     # Backend invariance: pinning any kernel must reproduce the ambient
-    # dispatch result bit-for-bit (jit falls back to bitset without numba).
+    # dispatch result bit-for-bit.
     for kern in (k for k in VALID_KERNELS if k != "auto"):
         out = _try(
             failures,

@@ -185,9 +185,9 @@ def _build_boundary(rng: np.random.Generator) -> tuple[Hypergraph, None, dict]:
 def _build_dense(rng: np.random.Generator) -> tuple[Hypergraph, None, dict]:
     """Dense-kernel bias: small universe, dimension ≤ 3, high edge density.
 
-    Every instance of this family routes through the dense (bitset/jit)
-    engines under ``auto`` dispatch, so the differential battery exercises
-    their cleanup machinery — duplicate collapse, containment discards,
+    Every instance of this family routes through the dense scalar engine
+    under ``auto`` dispatch, so the differential battery exercises its
+    cleanup machinery — duplicate collapse, containment discards,
     singleton reds — far more often than the uniform family would.
     """
     n = int(rng.integers(6, 64))

@@ -51,8 +51,8 @@ Edge = tuple[int, ...]
 Steps = list[tuple[list[Edge], list[Edge]]]
 
 #: Forced backends for the identity sweep (mirrors the differential
-#: battery's bl-csr/bl-bitset/bl-jit subjects).
-_BACKENDS = ("csr", "bitset", "jit")
+#: battery's bl-csr/bl-bitset subjects).
+_BACKENDS = ("csr", "bitset")
 
 
 def encode_steps(steps: Sequence[tuple[Sequence[Edge], Sequence[Edge]]]) -> list:

@@ -75,6 +75,10 @@ from repro.service.protocol import (
 
 __all__ = ["ServerConfig", "ServerThread", "SolveServer", "default_algorithms"]
 
+#: Longest JSON-lines request the unix socket reads (asyncio's default
+#: stream limit, made explicit so the rejection can name it).
+LINE_LIMIT = 2**16
+
 
 def default_algorithms() -> dict[str, Callable]:
     """The served solver registry (same names the CLI exposes)."""
@@ -164,7 +168,9 @@ class SolveServer:
         path.parent.mkdir(parents=True, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
             path.unlink()
-        self._servers.append(await asyncio.start_unix_server(self._handle_jsonl, path=str(path)))
+        self._servers.append(
+            await asyncio.start_unix_server(self._handle_jsonl, path=str(path), limit=LINE_LIMIT)
+        )
         if self.config.http is not None:
             host, port = self.config.http
             self._servers.append(
@@ -383,25 +389,32 @@ class SolveServer:
 
         Each line spawns its own task so a slow solve never blocks later
         lines on the same connection; a per-connection lock serialises the
-        interleaved response writes.
+        interleaved response writes.  A line longer than
+        :data:`LINE_LIMIT` leaves the stream unframed, so it gets one
+        ``bad_request`` answer and the connection is closed.
         """
         obs_metrics.inc("service/connections")
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
 
-        async def answer(doc_or_error) -> None:
-            if isinstance(doc_or_error, dict):
-                response = await self.handle_doc(doc_or_error)
-            else:
-                response = doc_or_error
+        async def send(response: dict[str, Any]) -> None:
             async with write_lock:
                 writer.write(encode_line(response))
                 with contextlib.suppress(ConnectionError):
                     await writer.drain()
 
+        async def answer(doc: dict[str, Any]) -> None:
+            await send(await self.handle_doc(doc))
+
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran the reader's limit
+                    obs_metrics.inc("service/oversized_requests")
+                    message = f"request line exceeds the {LINE_LIMIT}-byte limit"
+                    await send(error_response("", "bad_request", message))
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -409,7 +422,9 @@ class SolveServer:
                 try:
                     doc = decode_line(line)
                 except ProtocolError as exc:
-                    doc = error_response("", "bad_request", str(exc))
+                    obs_metrics.inc("service/bad_requests")
+                    await send(error_response("", "bad_request", str(exc)))
+                    continue
                 task = asyncio.create_task(answer(doc))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)

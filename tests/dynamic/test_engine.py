@@ -206,7 +206,7 @@ def test_backend_bit_identity():
     assert dense_capable(H)
     batches = churn_stream(H, 6, seed=52, batch_edges=4, adversarial_fraction=0.2)
     finals = {}
-    for kernel in ("csr", "bitset", "jit"):
+    for kernel in ("csr", "bitset"):
         with use_kernel(kernel):
             engine = DynamicMIS(H, seed=8)
             _drive(engine, batches)

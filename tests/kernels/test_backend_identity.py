@@ -18,11 +18,10 @@ from repro.core import beame_luby, greedy_mis, karp_upfal_wigderson, permutation
 from repro.generators import mixed_dimension_hypergraph, uniform_hypergraph
 from repro.hypergraph import Hypergraph
 from repro.kernels import use_kernel
-from repro.kernels.jit import HAVE_NUMBA
 from repro.pram.machine import CountingMachine
 from repro.qa import replay
 
-KERNELS = ["csr", "bitset"] + (["jit"] if HAVE_NUMBA else [])
+KERNELS = ["csr", "bitset"]
 
 SOLVERS = {
     "bl": beame_luby,
@@ -95,15 +94,6 @@ def test_auto_matches_forced_backends():
         auto = _solve(fn, "auto", H, 5)
         forced = _solve(fn, "bitset", H, 5)
         assert np.array_equal(auto.independent_set, forced.independent_set), solver
-
-
-def test_jit_without_numba_degrades_to_bitset():
-    if HAVE_NUMBA:
-        pytest.skip("numba present: jit is its own backend")
-    H = INSTANCES["uniform-d3"]
-    a = _solve(beame_luby, "jit", H, 2)
-    b = _solve(beame_luby, "bitset", H, 2)
-    _assert_identical(a, b, "jit-fallback")
 
 
 class TestSblDenseRouting:

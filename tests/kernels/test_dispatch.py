@@ -9,24 +9,22 @@ import pytest
 from repro.generators import uniform_hypergraph
 from repro.hypergraph import Hypergraph
 from repro.kernels import DEFAULT_KERNEL, VALID_KERNELS, current_kernel, use_kernel
-from repro.kernels.bl_dense import BLOCK_MAX_DIMENSION, BLOCK_MAX_UNIVERSE
 from repro.kernels.dispatch import (
     DENSE_MAX_DIMENSION,
     DENSE_MAX_UNIVERSE,
+    KERNEL_CALIBRATION,
     ShapeFeatures,
     dense_capable,
-    invalidate_calibration_cache,
     select_backend,
 )
-from repro.kernels.jit import HAVE_NUMBA
 from repro.obs.metrics import isolated_registry
+from repro.util.calibration import invalidate_calibration_cache, load_calibration
 from repro.util.hostid import machine_identity
 
 DENSE_H = uniform_hypergraph(40, 80, 3, seed=0)
 SPARSE_H = Hypergraph(DENSE_MAX_UNIVERSE + 1, [(0, 1, 2)])
 WIDE_H = Hypergraph(20, [tuple(range(DENSE_MAX_DIMENSION + 1))])  # dim 9
 DIM4_H = Hypergraph(10, [(0, 1, 2, 3)])  # dense-capable since the frontier engine
-BIG_U_H = Hypergraph(BLOCK_MAX_UNIVERSE + 1, [(0, 1, 2)])  # scalar yes, block no
 
 
 @pytest.fixture(autouse=True)
@@ -78,10 +76,6 @@ class TestDenseCapable:
         assert dense_capable(DIM4_H)
         assert dense_capable(Hypergraph(4096, [(0, 1, 2)]))
 
-    def test_envelope_is_wider_than_the_block_engine(self):
-        assert DENSE_MAX_DIMENSION > BLOCK_MAX_DIMENSION
-        assert DENSE_MAX_UNIVERSE > BLOCK_MAX_UNIVERSE
-
 
 class TestSelectBackend:
     def test_auto_picks_bitset_on_dense_shapes(self):
@@ -98,9 +92,6 @@ class TestSelectBackend:
         assert (d.backend, d.reason) == ("csr", "auto:shape-sparse")
         assert not d.dense
 
-    def test_auto_never_selects_jit(self):
-        assert select_backend(DENSE_H, requested="auto").backend != "jit"
-
     def test_forced_csr_wins_over_shape(self):
         d = select_backend(DENSE_H, requested="csr")
         assert (d.backend, d.reason) == ("csr", "forced:csr")
@@ -113,24 +104,6 @@ class TestSelectBackend:
         d = select_backend(WIDE_H, requested="bitset")
         assert (d.backend, d.reason) == ("csr", "unsupported-shape")
 
-    def test_jit_request(self):
-        d = select_backend(DENSE_H, requested="jit")
-        if HAVE_NUMBA:
-            assert (d.backend, d.reason) == ("jit", "forced:jit")
-        else:
-            assert (d.backend, d.reason) == ("bitset", "fallback:jit-unavailable")
-
-    def test_jit_request_beyond_block_shape_degrades_to_bitset(self):
-        # Inside the dense envelope but outside the U²-table block engine:
-        # the request degrades to the scalar/frontier engines, not to CSR.
-        for H in (DIM4_H, BIG_U_H):
-            d = select_backend(H, requested="jit")
-            assert d.backend == "bitset"
-            if HAVE_NUMBA:
-                assert d.reason == "fallback:jit-shape"
-            else:
-                assert d.reason == "fallback:jit-unavailable"
-
     def test_blockers_force_csr(self):
         d = select_backend(DENSE_H, requested="bitset", blockers=("on_round",))
         assert (d.backend, d.reason) == ("csr", "blocked:on_round")
@@ -139,9 +112,13 @@ class TestSelectBackend:
         d = select_backend(DENSE_H, blockers=("backend", "on_round"))
         assert d.reason == "blocked:backend"
 
-    def test_unknown_kernel_rejected(self):
+    def test_unknown_kernel_rejected(self, monkeypatch):
+        for name in ("fpga", "jit"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                select_backend(DENSE_H, requested=name)
+        monkeypatch.setenv("REPRO_KERNEL", "jit")
         with pytest.raises(ValueError, match="unknown kernel"):
-            select_backend(DENSE_H, requested="fpga")
+            select_backend(DENSE_H)
 
 
 class TestCostModelDispatch:
@@ -207,9 +184,7 @@ class TestCommittedFixture:
     """The fixture CI's kernel-calibrate step asserts against."""
 
     def test_is_well_formed_and_foreign(self):
-        from repro.kernels.costmodel import load_calibration
-
-        cal = load_calibration(FIXTURE)  # validates the schema
+        cal = load_calibration(KERNEL_CALIBRATION, FIXTURE)  # validates the schema
         assert cal.machine_id != machine_identity()
         assert "d3-u1k" in cal.buckets
 
@@ -248,7 +223,7 @@ class TestRequestSources:
             assert select_backend(DENSE_H).backend == "bitset"
 
     def test_valid_kernels_are_exactly_the_contract(self):
-        assert VALID_KERNELS == ("auto", "csr", "bitset", "jit")
+        assert VALID_KERNELS == ("auto", "csr", "bitset")
 
 
 class TestCounters:

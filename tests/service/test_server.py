@@ -17,6 +17,7 @@ import pytest
 from repro.core import beame_luby, greedy_mis
 from repro.generators import uniform_hypergraph
 from repro.hypergraph.hio import dump as hio_dump
+from repro.obs.metrics import isolated_registry
 from repro.service import (
     ServerConfig,
     ServerThread,
@@ -197,12 +198,33 @@ class TestProtocolSurface:
                 line = client._rfile.readline()
                 garbage = json.loads(line)
                 assert garbage["status"] == "bad_request"
+                assert "not JSON" in garbage["error"]
 
                 stats = client.stats()
         assert bad_algo.value.status == "bad_request"
         assert stats["requests"] >= 3
         assert {"cache", "queue", "batch", "gauges", "bench_m02"} <= stats.keys()
         assert stats["bench_m02"].get("best_speedup_vs_serial") is not None
+
+    def test_oversized_line_is_answered_then_closed(self, tmp_path):
+        from repro.service.server import LINE_LIMIT
+
+        config = _config(tmp_path)
+        line = b'{"op": "ping", "pad": "' + b"x" * (70 * 1024) + b'"}\n'
+        assert len(line) > LINE_LIMIT
+        with isolated_registry() as reg, ServerThread(config):
+            with SolveClient(config.socket_path) as client:
+                client._sock.sendall(line)
+                response = json.loads(client._rfile.readline())
+                assert client._rfile.readline() == b""  # server hung up
+            counters = reg.snapshot()["counters"]
+            # the server keeps serving fresh connections
+            with SolveClient(config.socket_path) as client:
+                after = client.solve(_H1, algorithm="bl", seed=1)
+        assert response["status"] == "bad_request"
+        assert f"{LINE_LIMIT}-byte limit" in response["error"]
+        assert counters["service/oversized_requests"] == 1
+        assert after["mis_size"] == beame_luby(_H1, 1).size
 
     def test_gauges_present_in_stats(self, tmp_path):
         config = _config(tmp_path)
