@@ -18,13 +18,18 @@ The widened dense envelope adds two fenced pairs beyond the old
 acceptance floor ≥ 3× for each dense entry over its CSR twin.  ``sbl``
 runs under ``auto`` dispatch, so it measures the real routed path
 including the dense engines its reduced instances now reach.
+
+``bl_mix25`` / ``bl_mix25_bitset`` fence the frontier engine's row-mask
+Δ state on the ``solve-mix`` shape (mixed dimensions 2–5, n=1000,
+m=1500), where duplicate collapse, containment and red singletons all
+fire; floor ≥ 3× for the dense entry over its CSR twin.
 """
 
 import pytest
 
 from repro.core import beame_luby, greedy_mis, karp_upfal_wigderson, permutation_bl
 from repro.core import sbl as sbl_solver
-from repro.generators import uniform_hypergraph
+from repro.generators import mixed_dimension_hypergraph, uniform_hypergraph
 from repro.hypergraph import check_mis
 from repro.hypergraph.degrees import degree_profile
 from repro.hypergraph.ops import normalize
@@ -35,6 +40,8 @@ N, M, D = 400, 800, 3
 N_WIDE, M_WIDE = 4096, 8192
 #: … and dimension 4 (was ≤ 3).
 N_D4, M_D4, D4 = 400, 600, 4
+#: … and mixed dimensions 2–5, the solve-mix pool shape.
+N_MIX, M_MIX, DIMS_MIX = 1000, 1500, (2, 3, 4, 5)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,11 @@ def wide_instance():
 @pytest.fixture(scope="module")
 def dim4_instance():
     return uniform_hypergraph(N_D4, M_D4, D4, seed=7)
+
+
+@pytest.fixture(scope="module")
+def mix25_instance():
+    return mixed_dimension_hypergraph(N_MIX, M_MIX, DIMS_MIX, seed=7)
 
 
 def _forced(kernel, fn, *args, **kwargs):
@@ -114,6 +126,20 @@ def test_kernel_bl_dim4_bitset(benchmark, dim4_instance):
         lambda: _forced("bitset", beame_luby, dim4_instance, seed=1, trace=False)
     )
     check_mis(dim4_instance, res.independent_set)
+
+
+def test_kernel_bl_mix25(benchmark, mix25_instance):
+    res = benchmark(
+        lambda: _forced("csr", beame_luby, mix25_instance, seed=1, trace=False)
+    )
+    check_mis(mix25_instance, res.independent_set)
+
+
+def test_kernel_bl_mix25_bitset(benchmark, mix25_instance):
+    res = benchmark(
+        lambda: _forced("bitset", beame_luby, mix25_instance, seed=1, trace=False)
+    )
+    check_mis(mix25_instance, res.independent_set)
 
 
 def test_kernel_sbl(benchmark, instance):

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.obs import metrics as obs_metrics
 
-__all__ = ["EdgeStore", "concat_ranges"]
+__all__ = ["EdgeStore", "concat_ranges", "is_canonical"]
 
 #: Beyond this edge size the padded lex-sort matrix gets wasteful; fall
 #: back to sorting Python tuples (construction-time only, never per round).
@@ -55,6 +55,42 @@ def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 def _row_ids(indptr: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Edge id of every position in ``indices``."""
     return np.repeat(np.arange(sizes.size, dtype=np.intp), sizes)
+
+
+def _padded_rows(
+    indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarray, dmax: int
+) -> np.ndarray:
+    """The ``m × dmax`` edge matrix, short edges padded with ``-1``."""
+    rows = _row_ids(indptr, sizes)
+    cols = np.arange(indices.size, dtype=np.intp) - np.repeat(indptr[:-1], sizes)
+    M = np.full((sizes.size, dmax), -1, dtype=np.intp)
+    M[rows, cols] = indices
+    return M
+
+
+def is_canonical(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Do nonempty CSR edges already satisfy the canonical invariant?
+
+    Checks strictly increasing edges and a strictly increasing edge list
+    (lexicographic, which also rules out duplicates) without sorting:
+    adjacent rows of the padded matrix must first differ upward.
+    """
+    if indices.size > 1:
+        rising = np.diff(indices) > 0
+        rising[indptr[1:-1] - 1] = True  # row boundaries are free
+        if not rising.all():
+            return False
+    sizes = np.diff(indptr)
+    if sizes.size <= 1:
+        return True
+    dmax = int(sizes.max())
+    if dmax > _PAD_LIMIT:
+        return False
+    M = _padded_rows(indptr, indices, sizes, dmax)
+    differ = M[1:] != M[:-1]
+    r = np.arange(sizes.size - 1)
+    first = differ.argmax(axis=1)
+    return bool(differ[r, first].all() and (M[1:][r, first] > M[:-1][r, first]).all())
 
 
 def _lexsort_rows(
@@ -82,10 +118,7 @@ def _lexsort_rows(
     dmax = int(sizes.max())
     if dmax > _PAD_LIMIT:
         return _lexsort_rows_fallback(indptr, indices, changed)
-    rows = _row_ids(indptr, sizes)
-    cols = np.arange(indices.size, dtype=np.intp) - np.repeat(indptr[:-1], sizes)
-    M = np.full((m, dmax), -1, dtype=np.intp)
-    M[rows, cols] = indices
+    M = _padded_rows(indptr, indices, sizes, dmax)
     order = np.lexsort(M.T[::-1])
     Ms = M[order]
     keep = np.empty(m, dtype=bool)

@@ -8,23 +8,33 @@ frontier idea to arbitrary (small) dimension: edges live as sorted
 per-row vertex lists banked behind static per-vertex incidence lists, a
 round touches only the rows incident to the marked set, and the cleanup
 is the *exact* fixed point :func:`repro.hypergraph.ops.normalize_after_trim`
-computes — trim, duplicate-row collapse, two-directional containment
-restricted to the changed rows, then a single singleton/red pass.
+computes — trim, duplicate-row collapse, containment restricted to the
+changed rows, then a single singleton/red pass.
 
 Where the scalar engine maintains the Δ maxima with bespoke degree/pair
-histograms (valid only for d ≤ 3), this engine reuses the CSR path's own
-:class:`~repro.hypergraph.degrees.DeltaTracker`, feeding it the same
-``(removed_edges, added_edges)`` diff the CSR loop derives from the store
-masks.  The tracker is shared code, so the Δ floats — and therefore the
-marking probabilities — are identical by construction, not by re-derived
-arithmetic.
+histograms (valid only for d ≤ 3), this engine keeps its own integer Δ
+state keyed by **(row, live-position mask)**: every live row is a subset
+of its normalised original row, so every vertex set ``x`` it can ever
+count is a submask of that row.  The first edged round interns all those
+submasks to integer ids in one vectorised pass; afterwards each removed,
+trimmed or re-entering row walks a precomputed list of the nonempty
+proper submasks of its mask, bumping one count list per edge size and a
+multiplicity histogram per ``(i, s)`` whose cached maximum is walked
+down lazily.
 
 Bit-identity
 ------------
 Same contract as the other engines: identical coins
 (:class:`~repro.kernels.rng.RoundRngPlan`), identical per-round records,
 machine charges, solver counters and metadata, pinned by
-``tests/kernels`` and the ``repro.qa`` differential subjects.  With an
+``tests/kernels`` and the ``repro.qa`` differential subjects.  The Δ
+state holds exactly the integers
+:class:`~repro.hypergraph.degrees.DeltaTracker` keeps for the CSR loop —
+the multiplicity of every ``(x, i)`` under the same
+``(removed, added)`` edge diff — and turns its per-``(i, s)`` maxima
+into floats with the same ``max ** (1 / (i - s))``, so Δ and the marking
+probability agree bit for bit; a round-by-round test checks the maxima
+against :func:`~repro.hypergraph.degrees.degree_profile`.  With an
 enabled tracer the engine emits the same per-round ``bl/round`` spans as
 the CSR loop and stamps ``extras["wall_ns"]``.
 """
@@ -32,11 +42,11 @@ the CSR loop and stamps ``extras["wall_ns"]``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 
 import numpy as np
 
 from repro.core.result import MISResult, RoundRecord
-from repro.hypergraph.degrees import DeltaTracker
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.ops import normalize
 from repro.kernels.rng import RoundRngPlan
@@ -45,6 +55,157 @@ from repro.pram.machine import Machine, NullMachine
 from repro.util.rng import SeedLike
 
 __all__ = ["beame_luby_frontier"]
+
+
+@lru_cache(maxsize=None)
+def _submasks(width: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """``table[a]``: the nonempty proper submasks of every mask ``a < 2^width``.
+
+    Grouped by popcount, ``((s, (sub, ...)), ...)`` in ascending ``s``, so
+    an update walks one ``(i, s)`` histogram at a time.
+    """
+    table = []
+    for a in range(1 << width):
+        by_size: dict[int, list[int]] = {}
+        sub = (a - 1) & a
+        while sub:
+            by_size.setdefault(sub.bit_count(), []).append(sub)
+            sub = (sub - 1) & a
+        table.append(tuple((s, tuple(by_size[s])) for s in sorted(by_size)))
+    return tuple(table)
+
+
+class _RowMaskDelta:
+    """The Δ maxima of the live rows, keyed by (row, live-position mask).
+
+    Every live row is a subset of its normalised original row, so every
+    vertex set ``x`` the row can ever count is a submask of that row.  The
+    build interns all of them to integer ids in one vectorised pass (one
+    size class at a time, ids ascending in ``|x|``); afterwards a row at
+    mask ``a`` contributes one count to ``cnt[popcount(a)][ids[row][sub]]``
+    for every nonempty proper submask ``sub`` of ``a``.  Per ``(i, s)``
+    a multiplicity histogram plus a cached maximum, walked down lazily,
+    give ``max |N_{i-s}(x)|`` — the same integers
+    :class:`~repro.hypergraph.degrees.DeltaTracker` keeps in its
+    ``(x, i)`` dict, hence the same Δ floats.
+    """
+
+    __slots__ = ("ids", "cnt", "hist", "top", "subs")
+
+    def __init__(self, W: Hypergraph):
+        store = W.store
+        sizes = store.sizes()
+        indptr, indices = store.indptr, store.indices
+        m = int(sizes.size)
+        dim = W.dimension
+        U = max(W.universe, 1)
+        self.subs = subs = _submasks(dim)
+
+        # Per size class L: the rows, their vertex matrix E and the id
+        # table T (2^L entries per row, indexed by submask).
+        classes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for L in range(2, dim + 1):
+            rows = np.flatnonzero(sizes == L)
+            if rows.size:
+                E = indices[indptr[rows][:, None] + np.arange(L)]
+                classes[L] = (rows, E, np.zeros((rows.size, 1 << L), dtype=np.int64))
+
+        # Intern one subset size s at a time, ids ascending in s.  An
+        # s-subset is its (s-1)-prefix plus its largest vertex, so
+        # ``prefix id * U + vertex`` names it exactly across all classes.
+        base = [0] * (dim + 1)  # base[s]: first id of size s
+        for s in range(1, dim):
+            parts = []
+            for L, (rows, E, T) in classes.items():
+                if L > s:
+                    masks = dict(subs[(1 << L) - 1])[s]
+                    ms = np.asarray(masks)
+                    high = np.asarray([a.bit_length() - 1 for a in masks])
+                    key = T[:, ms ^ (1 << high)] * U + E[:, high]
+                    parts.append((T, ms, key))
+            uniq, inv = np.unique(
+                np.concatenate([key.ravel() for _, _, key in parts]), return_inverse=True
+            )
+            lo = 0
+            for T, ms, key in parts:
+                T[:, ms] = inv[lo : lo + key.size].reshape(key.shape) + base[s]
+                lo += key.size
+            base[s + 1] = base[s] + uniq.size
+
+        # Row id tables, bulk counts and histograms.
+        self.ids: list[list[int] | None] = [None] * m
+        self.cnt: list[list[int]] = [[] for _ in range(dim + 1)]
+        self.hist: list[list[list[int]]] = [[] for _ in range(dim + 1)]
+        self.top: list[list[int]] = [[] for _ in range(dim + 1)]
+        for i in range(2, dim + 1):
+            counts = np.zeros(base[i], dtype=np.int64)
+            if i in classes:
+                rows, _, T = classes[i]
+                counts += np.bincount(T[:, 1:-1].ravel(), minlength=base[i])
+                for r, row_ids in zip(rows.tolist(), T.tolist()):
+                    self.ids[r] = row_ids
+            self.cnt[i] = counts.tolist()
+            hist_i: list[list[int]] = [[]]
+            top_i = [0]
+            for s in range(1, i):
+                seg = counts[base[s] : base[s + 1]]
+                hist_i.append(np.bincount(seg, minlength=m + 2).tolist())
+                top_i.append(int(seg.max(initial=0)))
+            self.hist[i] = hist_i
+            self.top[i] = top_i
+
+    def add(self, row: int, a: int, i: int) -> None:
+        """Row *row* enters at mask *a* (popcount *i*)."""
+        ids = self.ids[row]
+        cnt = self.cnt[i]
+        hist = self.hist[i]
+        top = self.top[i]
+        for s, subs in self.subs[a]:
+            h = hist[s]
+            t = top[s]
+            for sub in subs:
+                x = ids[sub]
+                c = cnt[x] + 1
+                cnt[x] = c
+                h[c - 1] -= 1
+                h[c] += 1
+                if c > t:
+                    t = c
+            top[s] = t
+
+    def remove(self, row: int, a: int, i: int) -> None:
+        """Row *row* leaves from mask *a* (popcount *i*); maxima go stale."""
+        ids = self.ids[row]
+        cnt = self.cnt[i]
+        hist = self.hist[i]
+        for s, subs in self.subs[a]:
+            h = hist[s]
+            for sub in subs:
+                x = ids[sub]
+                c = cnt[x]
+                cnt[x] = c - 1
+                h[c] -= 1
+                h[c - 1] += 1
+
+    def delta_by_size(self, dim: int) -> dict[int, float]:
+        """``Δ_i`` per live edge size ≤ *dim* — the :class:`DegreeProfile` view."""
+        out: dict[int, float] = {}
+        for i in range(2, dim + 1):
+            hist = self.hist[i]
+            top = self.top[i]
+            for s in range(1, i):
+                t = top[s]
+                h = hist[s]
+                while t and not h[t]:
+                    t -= 1
+                top[s] = t
+                if t and t ** (1.0 / (i - s)) > out.get(i, 0.0):
+                    out[i] = t ** (1.0 / (i - s))
+        return out
+
+    def delta(self, dim: int) -> float:
+        """``Δ(H)`` over the live rows, all of size ≤ *dim*."""
+        return max(self.delta_by_size(dim).values(), default=0.0)
 
 
 def beame_luby_frontier(
@@ -76,7 +237,13 @@ def beame_luby_frontier(
     # edges[i]: sorted vertex list of row i, or None once the row dies.
     # adj[v]: static incidence list (row ids); rows that die or drop v are
     # filtered at query time — removed vertices are never queried again.
-    edges: list[list[int] | None] = [list(e) for e in W.edges]
+    flat = W.store.indices.tolist()
+    ptr = W.store.indptr.tolist()
+    edges: list[list[int] | None] = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+    # orig[i]: row i as normalised; mask[i]: its live positions (bit k =
+    # orig[i][k]), the key of the row's subsets in the Δ state.
+    orig = edges.copy()
+    mask = [(1 << len(ed)) - 1 for ed in edges]
     adj: list[list[int]] = [[] for _ in range(U)]
     for i, ed in enumerate(edges):
         for v in ed:
@@ -91,11 +258,11 @@ def beame_luby_frontier(
         total_size += sz
     dim_max = W.dimension
 
-    # The Δ maxima are carried across rounds by the same restriction-based
-    # tracker the CSR loop uses, fed the same edge diffs; built lazily on
-    # the first edged round (the hypergraph is still W at that point).
+    # The Δ maxima are carried across rounds by row-mask counts, fed the
+    # same edge diff the CSR loop derives; built lazily on the first edged
+    # round (the hypergraph is still W at that point).
     W0: Hypergraph | None = W
-    tracker: DeltaTracker | None = None
+    dstate: _RowMaskDelta | None = None
 
     plan: RoundRngPlan | None = None
     independent: list[int] = []
@@ -150,10 +317,10 @@ def beame_luby_frontier(
         while dim_max > 0 and size_hist[dim_max] == 0:
             dim_max -= 1
         d = dim_max
-        if tracker is None:
-            tracker = DeltaTracker.from_hypergraph(W0)
+        if dstate is None:
+            dstate = _RowMaskDelta(W0)
             W0 = None
-        delta = tracker.delta()
+        delta = dstate.delta(d)
         if p_fixed is not None:
             p = p_fixed
         else:
@@ -252,87 +419,74 @@ def beame_luby_frontier(
         added_set = set(added)
 
         # (4)–(5) commit + fused cleanup, mirroring normalize_after_trim.
-        # Changed rows = alive rows still containing an added vertex; keep
-        # their pre-trim vertex lists for the diff below.
+        # Changed rows = alive rows containing an added vertex (a row only
+        # drops a vertex when it leaves, so every alive row listed under
+        # an active vertex holds it); keep their pre-trim vertex lists.
         old_of: dict[int, list[int]] = {}
         for v in added:
             for e in adj[v]:
                 ed = edges[e]
-                if ed is not None and e not in old_of and v in ed:
+                if ed is not None and e not in old_of:
                     old_of[e] = ed
 
-        removed_edges: list[tuple[int, ...]] = []
-        added_edges: list[tuple[int, ...]] = []
         red_list: list[int] = []
         dead: set[int] = set()
         pivots: list[int] = []
-        pivot_present: list[bool] = []
         if old_of:
             # Trim + duplicate collapse.  Every changed row keeps ≥ 1
             # vertex (a row losing all vertices would have been fully
-            # marked and retracted above).  A row trimming onto an
-            # identical tuple collapses into it: onto an earlier changed
-            # row this round, or onto an unchanged row — which then counts
-            # as a changed pivot itself (EdgeStore.trim's dedup groups OR
-            # their changed flags and keep the present bit).
-            claimed: dict[tuple[int, ...], int] = {}
+            # marked and retracted above).  A row trimming onto the tuple
+            # of an earlier changed row this round collapses into it.  It
+            # never lands on an unchanged row: that row would be a proper
+            # subset of the changed row's old tuple, which the previous
+            # round's normal form rules out.  Every changed row leaves the
+            # Δ state and the size histogram at its old mask; a surviving
+            # pivot re-enters below.
+            claimed: set[tuple[int, ...]] = set()
             for e in sorted(old_of):
                 old = old_of[e]
-                removed_edges.append(tuple(old))
+                sz = len(old)
+                dstate.remove(e, mask[e], sz)
+                size_hist[sz] -= 1
+                total_size -= sz
                 new = [u for u in old if u not in added_set]
                 t = tuple(new)
-                pivot = claimed.get(t)
-                if pivot is not None:
+                if t in claimed:
                     edges[e] = None
                     continue
-                dup = -1
-                ln = len(new)
-                for i in adj[new[0]]:
-                    if i == e:
-                        continue
-                    ed2 = edges[i]
-                    if (
-                        ed2 is not None
-                        and i not in old_of
-                        and len(ed2) == ln
-                        and ed2 == new
-                    ):
-                        dup = i
-                        break
-                if dup >= 0:
-                    edges[e] = None
-                    claimed[t] = dup
-                    pivots.append(dup)
-                    pivot_present.append(True)
-                else:
-                    edges[e] = new
-                    claimed[t] = e
-                    pivots.append(e)
-                    pivot_present.append(False)
+                claimed.add(t)
+                edges[e] = new
+                a = mask[e]
+                for k, u in enumerate(orig[e]):
+                    if u in added_set:
+                        a &= ~(1 << k)
+                mask[e] = a
+                pivots.append(e)
 
-            # Containment, both directions, restricted to the changed
-            # pivots — computed on the pre-drop state (all kills are
-            # simultaneous, exactly the restricted Gram scan of
-            # normalize_after_trim).  For pivot j, walking the incidence
-            # lists of its vertices counts |e_j ∩ e_i| for every alive row
-            # i sharing a vertex.
+            # Containment, restricted to the changed pivots and computed
+            # on the pre-drop state (all kills are simultaneous, exactly
+            # the restricted Gram scan of normalize_after_trim).  Only
+            # proper supersets of a pivot die: a live row properly inside
+            # pivot j is either unchanged — then it was inside j's old
+            # tuple, which the previous normal form rules out — or another
+            # pivot, whose own scan finds j.  Every superset of pivot j
+            # holds j's least-loaded vertex, whose incidence list is
+            # therefore the whole candidate set.
             for j in pivots:
                 ej = edges[j]
                 lj = len(ej)
-                cnt: dict[int, int] = {}
+                best = adj[ej[0]]
                 for v in ej:
-                    for i in adj[v]:
-                        if i == j:
-                            continue
-                        ei = edges[i]
-                        if ei is not None and v in ei:
-                            cnt[i] = cnt.get(i, 0) + 1
-                for i, c in cnt.items():
-                    li = len(edges[i])
-                    if c == lj and li > lj:
-                        dead.add(i)  # row i swallows changed pivot j
-                    elif c == li and lj > li:
-                        dead.add(j)  # changed pivot j swallows row i
+                    if len(adj[v]) < len(best):
+                        best = adj[v]
+                for i in best:
+                    ei = edges[i]
+                    if ei is not None and len(ei) > lj and i not in dead:
+                        for u in ej:
+                            if u not in ei:
+                                break
+                        else:
+                            dead.add(i)
 
             # Single singleton pass on the survivors: rows that shrank to
             # singletons colour their vertex red; every surviving row
@@ -347,49 +501,27 @@ def beame_luby_frontier(
             if red_list:
                 for r in red_list:
                     for i in adj[r]:
-                        ei = edges[i]
-                        if ei is not None and i not in dead and r in ei:
+                        if edges[i] is not None:
                             dead.add(i)
         red_count = len(red_list)
 
-        # Exact edge diff (same bookkeeping as the trim masks): removed =
-        # old tuples of every changed row, plus the current tuples of dead
-        # rows whose tuple pre-existed (unchanged rows, incl. absorbing
-        # pivots); added = surviving changed pivots with a new tuple.
-        for i in dead:
-            if i not in old_of:
-                removed_edges.append(tuple(edges[i]))
-        for j, present in zip(pivots, pivot_present):
-            if not present and j not in dead:
-                added_edges.append(tuple(edges[j]))
-        if removed_edges:
-            tracker.remove_edges(removed_edges)
-        if added_edges:
-            tracker.add_edges(added_edges)
-
-        # Size histogram / totals: changed rows leave at their old size;
-        # surviving changed pivots re-enter at the trimmed size; dead rows
-        # outside the changed set leave at their current size.
+        # The rest of the exact edge diff (same bookkeeping as the trim
+        # masks): surviving pivots enter at their trimmed mask; dead
+        # unchanged rows leave at their current mask.
         if old_of:
-            for old in old_of.values():
-                sz = len(old)
-                size_hist[sz] -= 1
-                total_size -= sz
-            changed_pivots = 0
-            for j, present in zip(pivots, pivot_present):
-                if present:
-                    continue
-                changed_pivots += 1
+            for j in pivots:
                 if j not in dead:
                     sz = len(edges[j])
+                    dstate.add(j, mask[j], sz)
                     size_hist[sz] += 1
                     total_size += sz
             for i in dead:
                 if i not in old_of:
                     sz = len(edges[i])
+                    dstate.remove(i, mask[i], sz)
                     size_hist[sz] -= 1
                     total_size -= sz
-            m_alive -= (len(old_of) - changed_pivots) + len(dead)
+            m_alive -= (len(old_of) - len(pivots)) + len(dead)
             for i in dead:
                 edges[i] = None
 

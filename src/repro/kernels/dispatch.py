@@ -65,7 +65,7 @@ __all__ = [
 #: The dense envelope: what *some* dense engine can represent.  The
 #: engines divide it between themselves — the scalar engine covers
 #: dimension ≤ 3 (bespoke degree/pair histograms), the frontier engine
-#: dimension 4+ (generic lists + the shared Δ tracker) — and both keep
+#: dimension 4+ (generic lists + a row-mask Δ state) — and both keep
 #: per-vertex state O(universe), so the bound is set by acceptable
 #: allocation, not table blow-up.
 DENSE_MAX_DIMENSION = 8
@@ -110,8 +110,8 @@ class KernelDecision:
 def dense_capable(H: Hypergraph) -> bool:
     """Can a dense engine represent this instance at all?
 
-    The frontier engines keep per-vertex incidence lists and dict-keyed
-    degree state — O(universe + total edge size), no U² tables — so the
+    The frontier engines keep per-vertex incidence lists and integer
+    degree state — O(universe + Σ 2^|e|), no U² tables — so the
     envelope extends to dimension ≤ 8 and universes up to 64k.  Beyond it
     the CSR reference loop is the only representation.
     """

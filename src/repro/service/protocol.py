@@ -39,8 +39,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Mapping
 
+import numpy as np
+
+from repro.hypergraph.edgestore import EdgeStore, is_canonical
 from repro.hypergraph.hio import loads as hio_loads
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -116,6 +120,29 @@ def encode_instance(H: Hypergraph) -> dict[str, Any]:
     return doc
 
 
+def _flat_edges(universe: int, edges: Any) -> EdgeStore | None:
+    """The edge store of a list of nonempty lists of in-range plain ints.
+
+    One flat pass instead of one ``int()`` per vertex, and no sort when
+    the edges arrive canonical (as :func:`encode_instance` sends them).
+    Anything else — floats, numeric strings, bools, nesting, empty edges,
+    ids outside the universe — returns ``None`` and takes the per-element
+    path, which accepts, coerces and rejects exactly as it always has.
+    """
+    if type(edges) is not list or not edges or set(map(type, edges)) != {list}:
+        return None
+    sizes = list(map(len, edges))
+    if min(sizes) == 0:
+        return None
+    flat = list(chain.from_iterable(edges))
+    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= universe:
+        return None
+    indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.array(flat, dtype=np.intp)
+    return EdgeStore.from_arrays(indptr, indices, canonical=is_canonical(indptr, indices))
+
+
 def _decode_instance(value: Any) -> Hypergraph:
     if isinstance(value, str):
         try:
@@ -126,9 +153,12 @@ def _decode_instance(value: Any) -> Hypergraph:
         if "universe" not in value:
             raise ProtocolError("instance object needs a 'universe' field")
         try:
+            universe = int(value["universe"])
+            edges = value.get("edges", ())
+            store = _flat_edges(universe, edges)
             return Hypergraph(
-                int(value["universe"]),
-                [tuple(int(v) for v in e) for e in value.get("edges", ())],
+                universe,
+                store if store is not None else [tuple(int(v) for v in e) for e in edges],
                 vertices=value.get("vertices"),
             )
         except (TypeError, ValueError, IndexError) as exc:

@@ -79,6 +79,9 @@ __all__ = ["ServerConfig", "ServerThread", "SolveServer", "default_algorithms"]
 #: stream limit, made explicit so the rejection can name it).
 LINE_LIMIT = 2**16
 
+#: Most header lines one HTTP request may carry; more get a 431.
+MAX_HTTP_HEADERS = 100
+
 
 def default_algorithms() -> dict[str, Callable]:
     """The served solver registry (same names the CLI exposes)."""
@@ -459,11 +462,18 @@ class SolveServer:
                 return
             method, target, _version = parts
             headers: dict[str, str] = {}
+            header_lines = 0
             while True:
                 raw = await reader.readline()
                 line = raw.decode("latin-1").strip()
                 if not line:
                     break
+                header_lines += 1
+                if header_lines > MAX_HTTP_HEADERS:
+                    obs_metrics.inc("service/bad_requests")
+                    message = f"more than {MAX_HTTP_HEADERS} header lines\n"
+                    await self._http_reply(writer, 431, "text/plain", message.encode())
+                    return
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
             if method == "GET" and target == "/healthz":
@@ -484,13 +494,19 @@ class SolveServer:
                     text.encode("utf-8"),
                 )
             elif method == "POST" and target == "/solve":
-                length = int(headers.get("content-length", "0"))
-                body = await reader.readexactly(length) if length else b""
-                try:
-                    doc = decode_line(body)
-                    response = await self.handle_doc(doc)
-                except ProtocolError as exc:
-                    response = error_response("", "bad_request", str(exc))
+                raw_length = headers.get("content-length", "0")
+                if raw_length.isascii() and raw_length.isdigit():
+                    length = int(raw_length)
+                    body = await reader.readexactly(length) if length else b""
+                    try:
+                        doc = decode_line(body)
+                        response = await self.handle_doc(doc)
+                    except ProtocolError as exc:
+                        response = error_response("", "bad_request", str(exc))
+                else:
+                    obs_metrics.inc("service/bad_requests")
+                    message = f"bad Content-Length {raw_length!r}"
+                    response = error_response("", "bad_request", message)
                 status = 200 if response.get("status") == "ok" else _http_status(response)
                 await self._http_reply(
                     writer,
@@ -656,6 +672,7 @@ _HTTP_REASONS = {
     400: "Bad Request",
     404: "Not Found",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     504: "Gateway Timeout",
 }

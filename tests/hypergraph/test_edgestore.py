@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hypergraph.edgestore import _PAD_LIMIT, EdgeStore, concat_ranges
+from repro.hypergraph.edgestore import _PAD_LIMIT, EdgeStore, concat_ranges, is_canonical
 
 
 def reference_canonical(edges) -> tuple[tuple[int, ...], ...]:
@@ -65,6 +65,29 @@ class TestCanonicalisation:
         edges = [big, (3, 1), (1, 3), big, (0,)]
         store = EdgeStore.from_iterable(edges)
         assert store.edge_tuples() == reference_canonical(edges)
+
+    def test_is_canonical_agrees_with_canonicalisation(self):
+        def arrays(edges):
+            sizes = [len(e) for e in edges]
+            indptr = np.zeros(len(sizes) + 1, dtype=np.intp)
+            np.cumsum(sizes, out=indptr[1:])
+            return indptr, np.asarray([v for e in edges for v in e], dtype=np.intp)
+
+        seen = set()
+        for _, edges in random_edge_lists(seed=7, trials=200):
+            edges = [e for e in edges if e]
+            canon = list(reference_canonical(edges))
+            for case in (edges, canon, canon[::-1], canon + canon[-1:]):
+                if not case:
+                    continue
+                verdict = is_canonical(*arrays(case))
+                assert verdict == (tuple(case) == reference_canonical(case)), case
+                seen.add(verdict)
+        assert seen == {True, False}
+        # a prefix before its extension, and equal prefixes of unequal rows
+        assert is_canonical(*arrays([(0, 1), (0, 1, 2), (0, 2)]))
+        assert not is_canonical(*arrays([(0, 1, 2), (0, 1)]))
+        assert not is_canonical(*arrays([(0, 2), (0, 2)]))
 
     def test_canonical_arrays_adopted_verbatim(self):
         base = EdgeStore.from_iterable([(0, 1), (2, 3)])

@@ -43,6 +43,11 @@ INSTANCES = {
     "uniform-d5": uniform_hypergraph(30, 60, 5, seed=4),
     "wide-u4096": uniform_hypergraph(4096, 96, 3, seed=5),
     "mixed-d5-wide": mixed_dimension_hypergraph(3000, 48, (2, 3, 4, 5), seed=6),
+    # Dense dims 2–5: rounds collapse trimmed rows onto each other, kill
+    # rows by containment in both directions and colour singletons red.
+    "mixed-d5-dense": mixed_dimension_hypergraph(100, 600, (2, 3, 4, 5), seed=1),
+    # The top of the dense envelope: 2^8 submasks per row.
+    "uniform-d8": uniform_hypergraph(30, 50, 8, seed=10),
 }
 
 REGRESSION_DIR = Path(__file__).parents[1] / "regressions"
@@ -127,6 +132,42 @@ class TestSblDenseRouting:
         baseline = _solve(sbl, "csr", H, 9, count=True)
         got = _solve(sbl, "bitset", H, 9, count=True)
         _assert_identical(baseline, got, (name, "bitset"))
+
+
+class TestFrontierDeltaState:
+    """The frontier's row-mask Δ state against a from-scratch profile, per round.
+
+    The CSR loop (pinned by an ``on_round`` hook) hands out every round's
+    hypergraph; the frontier engine, solving the same seed, must report
+    the same per-size maxima at the start of every round.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["uniform-d4", "uniform-d5", "mixed-d5-dense", "uniform-d8"], ids=str
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_maxima_match_degree_profile_every_round(self, name, seed, monkeypatch):
+        from repro.hypergraph.degrees import degree_profile
+        from repro.kernels import bl_frontier
+
+        H = INSTANCES[name]
+        states = []
+        beame_luby(H, seed, on_round=lambda rec, W, *_: states.append(W))
+
+        seen = []
+
+        class Recording(bl_frontier._RowMaskDelta):
+            def delta_by_size(self, dim):
+                out = super().delta_by_size(dim)
+                seen.append(out)
+                return out
+
+        monkeypatch.setattr(bl_frontier, "_RowMaskDelta", Recording)
+        with use_kernel("bitset"):
+            beame_luby(H, seed)
+        assert len(seen) == len(states) > 1
+        for k, (got, W) in enumerate(zip(seen, states)):
+            assert got == dict(degree_profile(W).delta_by_size), (name, seed, k)
 
 
 class TestTracedDenseRounds:

@@ -6,13 +6,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.generators import uniform_hypergraph
 from repro.hypergraph.hio import dumps as hio_dumps
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.service.protocol import (
     ERROR_STATUSES,
     ProtocolError,
     SolveRequest,
+    _decode_instance,
     decode_line,
     encode_instance,
     encode_line,
@@ -79,6 +83,89 @@ class TestInstanceCodec:
     def test_bad_instances_rejected(self, bad):
         with pytest.raises(ProtocolError):
             parse_solve_request(_doc(instance=bad), algorithms=_ALGOS)
+
+
+def _per_element_decode(value):
+    """The per-element object decoder the flat pass must agree with."""
+    if "universe" not in value:
+        raise ProtocolError("instance object needs a 'universe' field")
+    try:
+        return Hypergraph(
+            int(value["universe"]),
+            [tuple(int(v) for v in e) for e in value.get("edges", ())],
+            vertices=value.get("vertices"),
+        )
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ProtocolError(f"bad instance object: {exc}") from exc
+
+
+def _outcome(decode, value):
+    try:
+        H = decode(value)
+    except Exception as exc:  # the exact type and text must agree
+        return ("raised", type(exc).__name__, str(exc))
+    return ("ok", H.content_hash())
+
+
+_vertex = st.one_of(
+    st.integers(-3, 14),
+    st.floats(-2, 14, allow_nan=False),
+    st.booleans(),
+    st.sampled_from(["3", "x", "", " 4"]),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.none(),
+)
+_edge = st.one_of(
+    st.lists(st.integers(0, 11), max_size=5),
+    st.lists(_vertex, max_size=5),
+    st.just("12"),
+    st.integers(0, 5),
+)
+# Plain in-range integer edges: the shape the flat pass takes.
+_plain_edges = st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=5), min_size=1, max_size=8)
+_instance = st.fixed_dictionaries(
+    {
+        "universe": st.one_of(st.just(12), st.integers(-1, 12), st.just(12.7), st.just("9")),
+        "edges": st.one_of(
+            _plain_edges, _plain_edges, st.lists(_edge, max_size=8), st.just({}), st.just("01")
+        ),
+    },
+    optional={"vertices": st.one_of(st.lists(st.integers(-1, 12), max_size=12), st.none())},
+)
+
+
+class TestFlatDecode:
+    """The flat-pass decode accepts, rejects and hashes like the per-element one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_instance)
+    def test_matches_per_element_decoder(self, value):
+        assert _outcome(_decode_instance, value) == _outcome(_per_element_decode, value)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0, 1], [1.0, 2]],  # float
+            [[0, 1], ["2", 3]],  # numeric string
+            [[True, 2]],  # bool
+            [[0, [1]]],  # nested list
+            [[0, 1], []],  # empty edge
+            [[-1, 2]],  # negative id
+            [[0, 10]],  # out of range
+            [[0, 10**30]],  # beyond int64
+            [[2, 1, 1], [1, 2]],  # unsorted, repeated vertex, duplicate edge
+        ],
+    )
+    def test_edge_cases_match(self, edges):
+        value = {"universe": 10, "edges": edges}
+        assert _outcome(_decode_instance, value) == _outcome(_per_element_decode, value)
+
+    def test_pool_shapes_hash_identically(self):
+        from repro.generators import mixed_dimension_hypergraph
+
+        for H in (_H, mixed_dimension_hypergraph(300, 450, [2, 3, 4, 5], seed=1)):
+            value = json.loads(json.dumps(encode_instance(H)))
+            assert _decode_instance(value).content_hash() == H.content_hash()
 
 
 class TestParseSolveRequest:

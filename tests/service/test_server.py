@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -302,6 +303,49 @@ class TestHttpTransport:
             assert response.status == 400
             assert json.loads(response.read())["status"] == "bad_request"
             conn.close()
+
+    @staticmethod
+    def _raw_exchange(port: int, head: bytes) -> tuple[int, bytes]:
+        """Send raw request bytes; return the status code and the body."""
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(head)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        reply = b"".join(chunks)
+        status_line, _, rest = reply.partition(b"\r\n")
+        return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+
+    @pytest.mark.parametrize("length", ["-5", "abc", "+5", "1_0", "5 5", ""])
+    def test_bad_content_length_gets_400(self, tmp_path, length):
+        config = _config(tmp_path, http=("127.0.0.1", 0))
+        head = f"POST /solve HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+        with isolated_registry() as reg, ServerThread(config) as handle:
+            status, body = self._raw_exchange(handle.server.http_port, head)
+            counters = reg.snapshot()["counters"]
+        assert status == 400
+        response = json.loads(body)
+        assert response["status"] == "bad_request"
+        assert "Content-Length" in response["error"]
+        assert counters["service/bad_requests"] == 1
+
+    def test_too_many_headers_get_431(self, tmp_path):
+        from repro.service.server import MAX_HTTP_HEADERS
+
+        config = _config(tmp_path, http=("127.0.0.1", 0))
+
+        def request(n_headers: int) -> bytes:
+            lines = [f"X-Pad-{k}: {k}" for k in range(n_headers)]
+            return ("GET /healthz HTTP/1.1\r\n" + "".join(f"{h}\r\n" for h in lines) + "\r\n").encode()
+
+        with isolated_registry() as reg, ServerThread(config) as handle:
+            port = handle.server.http_port
+            at_limit = self._raw_exchange(port, request(MAX_HTTP_HEADERS))
+            over = self._raw_exchange(port, request(MAX_HTTP_HEADERS + 1))
+            counters = reg.snapshot()["counters"]
+        assert at_limit == (200, b"ok\n")
+        assert over[0] == 431
+        assert counters["service/bad_requests"] == 1
 
 
 class TestCLI:
