@@ -50,7 +50,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 # Re-exported for historical importers (scripts/bench_gate.py and tests);
-# the definition lives in the package so the kernel cost model shares it.
+# the definition lives in the package so the installed code shares it.
 from repro.util.hostid import machine_identity  # noqa: E402
 BENCH = REPO / "benchmarks" / "bench_m01_solver_kernels.py"
 OUT = REPO / "BENCH_m01.json"

@@ -830,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=["auto", "repair", "recompute"],
         default="auto",
-        help="force a maintenance strategy (default: cost-model dispatch)",
+        help="force a maintenance strategy (default: auto, by batch delta fraction)",
     )
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--pretty", action="store_true", help="indent the JSON output")

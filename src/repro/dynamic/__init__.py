@@ -10,10 +10,8 @@ paying for a full re-solve when the change is small:
   repaired answer is *bit-identical* to recompute-from-scratch), splice,
   and certify against the updated hypergraph.
   Each batch is routed to repair or recompute by
-  :func:`~repro.dynamic.engine.decide_strategy`: a measured
-  per-shape-bucket crossover delta-fraction (``DYNAMIC_CALIBRATION.json``,
-  machine-gated by :mod:`repro.util.calibration`) with a static threshold
-  fallback.
+  :func:`~repro.dynamic.engine.decide_strategy`, which compares its
+  delta fraction with one constant crossover.
 
 The batch-update primitive itself —
 :func:`repro.hypergraph.updates.apply_updates` with its exact structural
@@ -22,7 +20,6 @@ non-dynamic callers (caches, the service) can reuse it.
 """
 
 from repro.dynamic.engine import (
-    DYNAMIC_CALIBRATION,
     STATIC_CROSSOVER_FRACTION,
     DynamicMIS,
     StrategyDecision,
@@ -37,6 +34,5 @@ __all__ = [
     "StrategyDecision",
     "decide_strategy",
     "delta_band",
-    "DYNAMIC_CALIBRATION",
     "STATIC_CROSSOVER_FRACTION",
 ]

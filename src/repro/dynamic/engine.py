@@ -36,13 +36,10 @@ Repair or recompute
 -------------------
 Small batches should be repaired in place (cost scales with the affected
 region); large ones should recompute (repair's localisation overhead —
-component labelling plus the splice — stops paying for itself).  The
-crossover depends on the machine and the instance shape, so
-:func:`decide_strategy` compares the batch's delta fraction against a
-measured per-shape-bucket crossover (``DYNAMIC_CALIBRATION.json``, loaded
-and machine-gated by :mod:`repro.util.calibration`, produced by
-``scripts/calibrate.py``) and against :data:`STATIC_CROSSOVER_FRACTION`
-where no usable calibration covers the bucket.
+component labelling plus the splice — stops paying for itself).
+:func:`decide_strategy` compares the batch's delta fraction against one
+constant crossover, :data:`STATIC_CROSSOVER_FRACTION`.  Both routes give
+bit-identical results, so the constant only moves wall-clock.
 
 >>> delta_band(0.03)
 'lt5pct'
@@ -63,18 +60,12 @@ from repro.hypergraph.edgestore import concat_ranges
 from repro.hypergraph.hypergraph import EdgeLike, Hypergraph
 from repro.hypergraph.updates import UpdateResult, apply_updates
 from repro.hypergraph.validate import check_mis
+from repro.kernels.dispatch import shape_bucket
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
-from repro.util.calibration import (
-    CalibrationTable,
-    active_calibration,
-    bounded_number,
-    shape_bucket,
-)
 from repro.util.rng import SeedLike, as_generator
 
 __all__ = [
-    "DYNAMIC_CALIBRATION",
     "STATIC_CROSSOVER_FRACTION",
     "DynamicMIS",
     "StrategyDecision",
@@ -85,11 +76,11 @@ __all__ = [
 
 _STRATEGIES = ("auto", "repair", "recompute")
 
-#: Delta-fraction above which recompute wins when no calibration applies.
-#: Conservative: repair's fixed overhead (diff + component labeling) is
-#: vectorised while the greedy scan it avoids is per-vertex Python, so the
-#: measured crossover usually sits far higher.
-STATIC_CROSSOVER_FRACTION = 0.25
+#: Delta-fraction above which recompute wins: the median crossover of a
+#: repair-vs-recompute sweep over seven sharded shapes, d = 2..4 and
+#: universes 768..9600 (per-shape crossovers 0.019–0.049; table in
+#: ``docs/dynamic.md``).
+STATIC_CROSSOVER_FRACTION = 0.0357
 
 #: Delta-fraction band upper bounds (exclusive), smallest first; used only
 #: for the low-cardinality decision counters, never for dispatch itself.
@@ -101,20 +92,6 @@ _DELTA_BANDS: tuple[tuple[float, str], ...] = (
 _DELTA_TOP = "ge20pct"
 
 
-def _crossover(entry: object) -> float:
-    """One dynamic-table bucket: the measured crossover delta fraction."""
-    if not isinstance(entry, dict) or "crossover_fraction" not in entry:
-        raise ValueError("must be an object with crossover_fraction")
-    return bounded_number(entry["crossover_fraction"], "crossover_fraction", hi=1.0)
-
-
-#: The repair-vs-recompute crossover: ``DYNAMIC_CALIBRATION.json`` at the
-#: repo root, or the path in ``REPRO_DYNAMIC_CALIBRATION``.
-DYNAMIC_CALIBRATION = CalibrationTable(
-    "dynamic", "DYNAMIC_CALIBRATION.json", "REPRO_DYNAMIC_CALIBRATION", _crossover
-)
-
-
 @dataclass(frozen=True)
 class StrategyDecision:
     """One repair-vs-recompute routing decision, with its audit trail."""
@@ -123,8 +100,6 @@ class StrategyDecision:
     reason: str
     bucket: str  # shape bucket (kernel vocabulary, e.g. "d3-u4k")
     band: str  # delta-fraction band (e.g. "lt1pct")
-    threshold: float
-    mode: str  # "cost-model" | "static"
 
 
 def delta_band(fraction: float) -> str:
@@ -141,31 +116,20 @@ def decide_strategy(
     """Route one update batch: repair in place or recompute from scratch.
 
     The batch's *delta fraction* (changed edges over ``|E_old ∪ E_new|``)
-    is compared against the crossover for the instance's shape bucket —
-    measured when a usable calibration covers the bucket, the static
-    threshold otherwise.
+    is compared against :data:`STATIC_CROSSOVER_FRACTION`; the shape
+    bucket and delta band only label the decision counters.
     """
     bucket = shape_bucket(dimension, universe)
-    band = delta_band(delta_fraction)
-    cal = active_calibration(DYNAMIC_CALIBRATION)
-    if cal is not None and bucket in cal.buckets:
-        threshold = cal.buckets[bucket]
-        mode = "cost-model"
-    else:
-        threshold = STATIC_CROSSOVER_FRACTION
-        mode = "static"
-    strategy = "repair" if delta_fraction <= threshold else "recompute"
+    repair = delta_fraction <= STATIC_CROSSOVER_FRACTION
     reason = (
-        f"{mode}: delta {delta_fraction:.4f} "
-        f"{'<=' if strategy == 'repair' else '>'} crossover {threshold:.4f} [{bucket}]"
+        f"delta {delta_fraction:.4f} {'<=' if repair else '>'} "
+        f"crossover {STATIC_CROSSOVER_FRACTION:.4f} [{bucket}]"
     )
     return StrategyDecision(
-        strategy=strategy,
+        strategy="repair" if repair else "recompute",
         reason=reason,
         bucket=bucket,
-        band=band,
-        threshold=threshold,
-        mode=mode,
+        band=delta_band(delta_fraction),
     )
 
 
@@ -288,7 +252,7 @@ class DynamicMIS:
         Derives the global priority permutation (and nothing else) —
         the whole stream is deterministic in ``(H, seed, updates)``.
     strategy:
-        ``"auto"`` (dispatch via the crossover model), or force
+        ``"auto"`` (route each batch by :func:`decide_strategy`), or force
         ``"repair"`` / ``"recompute"`` — the benchmark harness races the
         forced modes against each other.
     validate:
@@ -425,18 +389,13 @@ class DynamicMIS:
                     delta_fraction, H_new.dimension, H_new.universe
                 )
                 if self._strategy == "auto":
-                    strategy, reason, mode = (
-                        decision.strategy,
-                        decision.reason,
-                        decision.mode,
-                    )
+                    strategy, reason = decision.strategy, decision.reason
                 else:
-                    strategy, mode = self._strategy, "forced"
+                    strategy = self._strategy
                     reason = f"forced {strategy} (engine strategy override)"
                 obs_metrics.inc(
                     f"dynamic/decision/{decision.bucket}:{decision.band}/{strategy}"
                 )
-                obs_metrics.inc(f"dynamic/decision_mode/{mode}")
                 if strategy == "repair":
                     solved = self._repair(H_new, upd, trc, trace)
                 else:

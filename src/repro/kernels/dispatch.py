@@ -3,20 +3,16 @@
 Every solver entry point (``beame_luby``, ``karp_upfal_wigderson``,
 ``permutation_bl``, ``greedy_mis``) asks this module which execution
 backend to run — callers never pick one by hand.  The decision uses cheap
-instance features only (universe, dimension, n, m, density; in the spirit
-of the A5 cost-model ablation: features you can read off the store headers
-without touching the payload), plus hard blockers from the call site
-(instrumentation hooks that are defined in terms of the CSR
+instance features only (universe and dimension, read off the store
+headers without touching the payload), plus hard blockers from the call
+site (instrumentation hooks that are defined in terms of the CSR
 representation).
 
-In ``auto`` mode the choice between CSR and the bitset engines is made by
-a **measured cost model** when a calibration file exists
-(``KERNEL_CALIBRATION.json``, loaded through
-:mod:`repro.util.calibration`; produced by ``scripts/calibrate.py``,
-ignored unless its ``provenance.machine_id`` matches this machine): the
-instance's shape bucket looks up which backend actually measured faster
-here.  Without a usable calibration — or for a bucket the probe did not
-cover — the static envelope below decides.
+In ``auto`` mode the rule is static: inside the dense envelope
+(:func:`dense_capable`) a dense engine runs, outside it the CSR loop.
+The dense engines measured faster than CSR in every shape bucket of the
+envelope (2.6–11.4× for BL, ``docs/kernels.md``), so no per-machine
+table is consulted.
 
 The contract the dispatcher relies on — and the differential fuzz subjects
 enforce — is that **all backends are bit-identical per seed**, so this
@@ -27,13 +23,15 @@ Every decision is counted in the metrics registry:
 
 * ``kernels/dispatch/<backend>`` — which backend ran;
 * ``kernels/dispatch_reason/<reason>`` — why (low-cardinality labels);
-* ``kernels/dispatch_mode/<cost-model|static>`` — whether a measured
-  calibration or the static thresholds made an ``auto`` dense choice;
 * ``kernels/dispatch_shape/<bucket>/<backend>`` — chosen backend per
-  shape bucket;
+  shape bucket (:func:`shape_bucket`);
 
-all visible in ``repro trace summary`` and the OpenMetrics export, so
-calibration drift shows up in heartbeat output.
+all visible in ``repro trace summary`` and the OpenMetrics export.
+
+>>> shape_bucket(3, 900)
+'d3-u1k'
+>>> shape_bucket(5, 9000)
+'d4plus-u8kplus'
 """
 
 from __future__ import annotations
@@ -43,23 +41,14 @@ from dataclasses import dataclass
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import current_kernel
 from repro.obs import metrics as obs_metrics
-from repro.util.calibration import (
-    Calibration,
-    CalibrationTable,
-    active_calibration,
-    bounded_number,
-    shape_bucket,
-)
 
 __all__ = [
     "DENSE_MAX_DIMENSION",
     "DENSE_MAX_UNIVERSE",
-    "KERNEL_CALIBRATION",
-    "ShapeFeatures",
     "KernelDecision",
     "dense_capable",
-    "preferred_backend",
     "select_backend",
+    "shape_bucket",
 ]
 
 #: The dense envelope: what *some* dense engine can represent.  The
@@ -71,28 +60,35 @@ __all__ = [
 DENSE_MAX_DIMENSION = 8
 DENSE_MAX_UNIVERSE = 65536
 
+#: Universe band upper bounds (inclusive), smallest first; shapes above the
+#: last bound land in the open top band.
+_UNIVERSE_BANDS: tuple[tuple[int, str], ...] = (
+    (1024, "u1k"),
+    (2048, "u2k"),
+    (4096, "u4k"),
+    (8192, "u8k"),
+)
+_UNIVERSE_TOP = "u8kplus"
 
-@dataclass(frozen=True)
-class ShapeFeatures:
-    """The cheap features the dispatcher (and its obs trail) looks at."""
 
-    n: int
-    m: int
-    universe: int
-    dimension: int
-    density: float  # m / max(n, 1)
+def shape_bucket(dimension: int, universe: int) -> str:
+    """The counter label for an instance shape, e.g. ``"d3-u2k"``.
 
-    @classmethod
-    def of(cls, H: Hypergraph) -> "ShapeFeatures":
-        n = H.num_vertices
-        m = H.num_edges
-        return cls(
-            n=n,
-            m=m,
-            universe=H.universe,
-            dimension=H.dimension,
-            density=m / max(n, 1),
-        )
+    Buckets are a dimension band (``d2`` | ``d3`` | ``d4plus``) crossed
+    with a universe band (``u1k`` ≤ 1024 < ``u2k`` ≤ 2048 < ``u4k`` ≤ 4096
+    < ``u8k`` ≤ 8192 < ``u8kplus``).  Low-cardinality by construction —
+    3 × 5 possible labels — so per-bucket counters stay bounded.
+    """
+    if dimension <= 2:
+        dim_band = "d2"
+    elif dimension == 3:
+        dim_band = "d3"
+    else:
+        dim_band = "d4plus"
+    for bound, label in _UNIVERSE_BANDS:
+        if universe <= bound:
+            return f"{dim_band}-{label}"
+    return f"{dim_band}-{_UNIVERSE_TOP}"
 
 
 @dataclass(frozen=True)
@@ -118,43 +114,6 @@ def dense_capable(H: Hypergraph) -> bool:
     return H.dimension <= DENSE_MAX_DIMENSION and H.universe <= DENSE_MAX_UNIVERSE
 
 
-#: The backends the calibration probe races.
-_RACED = ("csr", "bitset")
-
-
-def _timings(entry: object) -> dict[str, float]:
-    """One kernel-table bucket: median solve ns per raced backend."""
-    if not isinstance(entry, dict):
-        raise ValueError("must be an object")
-    timings = {}
-    for backend in _RACED:
-        if backend not in entry:
-            raise ValueError(f"is missing {backend!r}")
-        timings[backend] = bounded_number(entry[backend], repr(backend))
-    return timings
-
-
-#: The kernel cost model: ``KERNEL_CALIBRATION.json`` at the repo root, or
-#: the path in ``REPRO_KERNEL_CALIBRATION`` (CI points it at a committed
-#: fixture to pin the honouring behaviour).
-KERNEL_CALIBRATION = CalibrationTable(
-    "kernels", "KERNEL_CALIBRATION.json", "REPRO_KERNEL_CALIBRATION", _timings
-)
-
-
-def preferred_backend(cal: Calibration, features: ShapeFeatures) -> str | None:
-    """The measured-faster backend for this shape, or ``None`` if uncovered.
-
-    ``None`` means the calibration has no entry for the instance's bucket
-    and dispatch should fall back to the static envelope.  A tie goes to
-    ``bitset``.
-    """
-    entry = cal.buckets.get(shape_bucket(features.dimension, features.universe))
-    if entry is None:
-        return None
-    return "bitset" if entry["bitset"] <= entry["csr"] else "csr"
-
-
 def select_backend(
     H: Hypergraph,
     *,
@@ -177,7 +136,6 @@ def select_backend(
         labels; the first one is counted.
     """
     req = _validated(requested) if requested is not None else current_kernel()
-    mode: str | None = None
     if req == "csr":
         decision = KernelDecision("csr", "forced:csr")
     elif blockers:
@@ -188,18 +146,9 @@ def select_backend(
     elif req == "bitset":
         decision = KernelDecision("bitset", "forced:bitset")
     else:
-        cal = active_calibration(KERNEL_CALIBRATION)
-        pick = preferred_backend(cal, ShapeFeatures.of(H)) if cal is not None else None
-        if pick is not None:
-            mode = "cost-model"
-            decision = KernelDecision(pick, f"cost-model:{pick}")
-        else:
-            mode = "static"
-            decision = KernelDecision("bitset", "auto:shape-dense")
+        decision = KernelDecision("bitset", "auto:shape-dense")
     obs_metrics.inc(f"kernels/dispatch/{decision.backend}")
     obs_metrics.inc(f"kernels/dispatch_reason/{decision.reason}")
-    if mode is not None:
-        obs_metrics.inc(f"kernels/dispatch_mode/{mode}")
     bucket = shape_bucket(H.dimension, H.universe)
     obs_metrics.inc(f"kernels/dispatch_shape/{bucket}/{decision.backend}")
     return decision

@@ -291,24 +291,12 @@ def render_summary(path: Union[str, Path], *, width: int = 60) -> str:
                 _, bucket, backend = key.rsplit("/", 2)
                 shape[(bucket, backend)] = value
         if shape:
-            # Decision provenance: cost-model picks vs static-envelope
-            # fallbacks — drift here is how a stale calibration shows up.
-            modes = {
-                k.rsplit("/", 1)[1]: v
-                for k, v in counters.items()
-                if k.startswith("kernels/dispatch_mode/")
-            }
-            title = "kernel dispatch (backend x shape bucket)"
-            if modes:
-                title += "  |  " + "  ".join(
-                    f"{k}: {v}" for k, v in sorted(modes.items())
-                )
             lines.append("")
             lines.append(
                 render_table(
                     ["shape bucket", "backend", "decisions"],
                     [[b, be, v] for (b, be), v in sorted(shape.items())],
-                    title=title,
+                    title="kernel dispatch (backend x shape bucket)",
                 )
             )
         repair: dict[tuple[str, str], Any] = {}
@@ -318,24 +306,13 @@ def render_summary(path: Union[str, Path], *, width: int = 60) -> str:
                 repair[(cell, strategy)] = value
         if repair:
             # Repair-vs-recompute provenance: which delta band each
-            # decision landed in, and whether the measured crossover or
-            # the static fallback made the call.
-            modes = {
-                k.rsplit("/", 1)[1]: v
-                for k, v in counters.items()
-                if k.startswith("dynamic/decision_mode/")
-            }
-            title = "repair decisions (strategy x shape:delta band)"
-            if modes:
-                title += "  |  " + "  ".join(
-                    f"{k}: {v}" for k, v in sorted(modes.items())
-                )
+            # decision landed in.
             lines.append("")
             lines.append(
                 render_table(
                     ["shape:delta band", "strategy", "decisions"],
                     [[c, s, v] for (c, s), v in sorted(repair.items())],
-                    title=title,
+                    title="repair decisions (strategy x shape:delta band)",
                 )
             )
         if counters:

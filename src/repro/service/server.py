@@ -75,8 +75,9 @@ from repro.service.protocol import (
 
 __all__ = ["ServerConfig", "ServerThread", "SolveServer", "default_algorithms"]
 
-#: Longest JSON-lines request the unix socket reads (asyncio's default
-#: stream limit, made explicit so the rejection can name it).
+#: Longest JSON-lines request the unix socket reads, and longest HTTP
+#: request line, header line or body (asyncio's default stream limit, made
+#: explicit so the rejections can name it).
 LINE_LIMIT = 2**16
 
 #: Most header lines one HTTP request may carry; more get a 431.
@@ -177,7 +178,9 @@ class SolveServer:
         if self.config.http is not None:
             host, port = self.config.http
             self._servers.append(
-                await asyncio.start_server(self._handle_http, host=host, port=port)
+                await asyncio.start_server(
+                    self._handle_http, host=host, port=port, limit=LINE_LIMIT
+                )
             )
         self._dispatch_task = asyncio.create_task(
             self._dispatch_loop(), name="repro-service-dispatch"
@@ -451,20 +454,35 @@ class SolveServer:
 
         One request per connection (``Connection: close``) — the HTTP
         transport exists for curl/scrape ergonomics; high-rate clients
-        should pipeline JSON lines over the unix socket.
+        should pipeline JSON lines over the unix socket.  A request line
+        or header line longer than :data:`LINE_LIMIT` gets a 400 or 431,
+        and a body longer than it a 413 before any of it is read.
         """
         obs_metrics.inc("service/http_requests")
         try:
-            request_line = (await reader.readline()).decode("latin-1").strip()
+            try:
+                request_line = (await reader.readline()).decode("latin-1").strip()
+            except ValueError:  # the line overran the reader's limit
+                obs_metrics.inc("service/bad_requests")
+                message = f"request line exceeds the {LINE_LIMIT}-byte limit\n"
+                await self._http_reply(writer, 400, "text/plain", message.encode())
+                return
             parts = request_line.split()
             if len(parts) != 3:
+                obs_metrics.inc("service/bad_requests")
                 await self._http_reply(writer, 400, "text/plain", b"bad request line\n")
                 return
             method, target, _version = parts
             headers: dict[str, str] = {}
             header_lines = 0
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readline()
+                except ValueError:
+                    obs_metrics.inc("service/bad_requests")
+                    message = f"header line exceeds the {LINE_LIMIT}-byte limit\n"
+                    await self._http_reply(writer, 431, "text/plain", message.encode())
+                    return
                 line = raw.decode("latin-1").strip()
                 if not line:
                     break
@@ -495,7 +513,15 @@ class SolveServer:
                 )
             elif method == "POST" and target == "/solve":
                 raw_length = headers.get("content-length", "0")
-                if raw_length.isascii() and raw_length.isdigit():
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    obs_metrics.inc("service/bad_requests")
+                    message = f"bad Content-Length {raw_length!r}"
+                    status, response = 400, error_response("", "bad_request", message)
+                elif int(raw_length) > LINE_LIMIT:
+                    obs_metrics.inc("service/oversized_requests")
+                    message = f"body exceeds the {LINE_LIMIT}-byte limit"
+                    status, response = 413, error_response("", "bad_request", message)
+                else:
                     length = int(raw_length)
                     body = await reader.readexactly(length) if length else b""
                     try:
@@ -503,11 +529,7 @@ class SolveServer:
                         response = await self.handle_doc(doc)
                     except ProtocolError as exc:
                         response = error_response("", "bad_request", str(exc))
-                else:
-                    obs_metrics.inc("service/bad_requests")
-                    message = f"bad Content-Length {raw_length!r}"
-                    response = error_response("", "bad_request", message)
-                status = 200 if response.get("status") == "ok" else _http_status(response)
+                    status = 200 if response.get("status") == "ok" else _http_status(response)
                 await self._http_reply(
                     writer,
                     status,
@@ -516,7 +538,7 @@ class SolveServer:
                 )
             else:
                 await self._http_reply(writer, 404, "text/plain", b"not found\n")
-        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
             pass  # server stopping with the connection open
@@ -671,6 +693,7 @@ _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    413: "Content Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",

@@ -10,8 +10,6 @@ subsystem builds on:
   parameter choices.
 * :mod:`repro.util.hostid` — the machine identity stamped into every
   wall-clock artifact.
-* :mod:`repro.util.calibration` — the per-machine calibration tables that
-  steer kernel dispatch and the dynamic repair-vs-recompute choice.
 """
 
 from repro.util.itlog import (

@@ -1,14 +1,10 @@
 """Normalized machine identity for perf artifacts.
 
-Benchmark baselines (``BENCH_*.json``) and the calibration tables
-(``KERNEL_CALIBRATION.json``, ``DYNAMIC_CALIBRATION.json``, both written by
-``scripts/calibrate.py``) record wall-clock measurements that are only
-meaningful on the machine that produced them.  Every such file stamps
-:func:`machine_identity` into its provenance, and every consumer —
-``scripts/bench_gate.py`` for the baselines,
-:mod:`repro.util.calibration` for the calibration tables — compares the
-stamp against the current machine and refuses (gate) or ignores
-(calibration) cross-machine data.
+Benchmark baselines (``BENCH_*.json``) record wall-clock measurements
+that are only meaningful on the machine that produced them.  Each one
+stamps :func:`machine_identity` into its provenance, and
+``scripts/bench_gate.py`` compares the stamp against the current machine
+and refuses cross-machine comparisons.
 
 Lives in ``repro.util`` so both the installed package and the repo
 scripts share one definition (``scripts/bench_smoke.py`` re-exports it
@@ -29,9 +25,7 @@ def machine_identity() -> str:
 
     ``system-arch-cpumodel-Nc`` (lowercased, punctuation collapsed to
     ``-``).  Benchmark medians are only comparable between runs that share
-    this id — ``bench_gate`` refuses cross-machine comparisons by default,
-    and :mod:`repro.util.calibration` ignores calibrations from other
-    machines.
+    this id — ``bench_gate`` refuses cross-machine comparisons by default.
     """
     cpu = None
     try:

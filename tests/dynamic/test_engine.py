@@ -8,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic import DynamicMIS
-from repro.dynamic.engine import _local_labels
+from repro.dynamic.engine import (
+    STATIC_CROSSOVER_FRACTION,
+    _local_labels,
+    decide_strategy,
+    delta_band,
+)
 from repro.generators import churn_stream, sharded_hypergraph, uniform_hypergraph
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.components import component_labels
 from repro.kernels import use_kernel
-from repro.kernels.dispatch import dense_capable
+from repro.kernels.dispatch import dense_capable, shape_bucket
 
 
 def _partitions_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -243,3 +248,25 @@ def test_empty_hypergraph_start():
     out = engine.apply(add_edges=[(0, 1), (1, 2)])
     assert out.certified
     assert np.array_equal(engine.independent_set, engine.recompute_reference())
+
+
+def test_delta_band_boundaries():
+    assert delta_band(0.0) == "lt1pct"
+    assert delta_band(0.0099) == "lt1pct"
+    assert delta_band(0.01) == "lt5pct"
+    assert delta_band(0.049) == "lt5pct"
+    assert delta_band(0.05) == "lt20pct"
+    assert delta_band(0.2) == "ge20pct"
+    assert delta_band(1.0) == "ge20pct"
+
+
+def test_decide_strategy_routes_on_the_crossover():
+    at = decide_strategy(STATIC_CROSSOVER_FRACTION, 3, 900)
+    assert at.strategy == "repair"
+    assert f"<= crossover {STATIC_CROSSOVER_FRACTION:.4f}" in at.reason
+    assert at.bucket == shape_bucket(3, 900)
+    assert at.band == "lt5pct"
+    assert decide_strategy(0.01, 3, 900).strategy == "repair"
+    above = decide_strategy(0.05, 3, 900)
+    assert above.strategy == "recompute"
+    assert "> crossover" in above.reason

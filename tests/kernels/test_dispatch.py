@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.generators import uniform_hypergraph
@@ -12,48 +10,16 @@ from repro.kernels import DEFAULT_KERNEL, VALID_KERNELS, current_kernel, use_ker
 from repro.kernels.dispatch import (
     DENSE_MAX_DIMENSION,
     DENSE_MAX_UNIVERSE,
-    KERNEL_CALIBRATION,
-    ShapeFeatures,
     dense_capable,
     select_backend,
+    shape_bucket,
 )
 from repro.obs.metrics import isolated_registry
-from repro.util.calibration import invalidate_calibration_cache, load_calibration
-from repro.util.hostid import machine_identity
 
 DENSE_H = uniform_hypergraph(40, 80, 3, seed=0)
 SPARSE_H = Hypergraph(DENSE_MAX_UNIVERSE + 1, [(0, 1, 2)])
 WIDE_H = Hypergraph(20, [tuple(range(DENSE_MAX_DIMENSION + 1))])  # dim 9
 DIM4_H = Hypergraph(10, [(0, 1, 2, 3)])  # dense-capable since the frontier engine
-
-
-@pytest.fixture(autouse=True)
-def _fresh_calibration_cache(monkeypatch, tmp_path):
-    # Dispatch must not pick up a developer's local KERNEL_CALIBRATION.json:
-    # point the env override at a path that does not exist.
-    monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(tmp_path / "absent.json"))
-    invalidate_calibration_cache()
-    yield
-    invalidate_calibration_cache()
-
-
-def _write_calibration(path, buckets, machine_id=None):
-    path.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "unit": "ns",
-                "stat": "median",
-                "buckets": buckets,
-                "provenance": {
-                    "machine_id": machine_id
-                    if machine_id is not None
-                    else machine_identity()
-                },
-            }
-        )
-    )
-    invalidate_calibration_cache()
 
 
 class TestDenseCapable:
@@ -77,9 +43,22 @@ class TestDenseCapable:
         assert dense_capable(Hypergraph(4096, [(0, 1, 2)]))
 
 
+#: The edge of every shape bucket inside the dense envelope: each
+#: dimension band's ends crossed with the universe band boundaries.
+BOUNDARY_SHAPES = [
+    (d, u)
+    for d in (2, 3, 4, DENSE_MAX_DIMENSION)
+    for u in (1024, 1025, 8192, 8193, DENSE_MAX_UNIVERSE)
+]
+
+
 class TestSelectBackend:
-    def test_auto_picks_bitset_on_dense_shapes(self):
-        d = select_backend(DENSE_H, requested="auto")
+    @pytest.mark.parametrize(
+        "dimension,universe", BOUNDARY_SHAPES, ids=[f"d{d}-u{u}" for d, u in BOUNDARY_SHAPES]
+    )
+    def test_auto_picks_bitset_on_dense_shapes(self, dimension, universe):
+        H = Hypergraph(universe, [tuple(range(dimension))])
+        d = select_backend(H, requested="auto")
         assert (d.backend, d.reason) == ("bitset", "auto:shape-dense")
         assert d.dense
 
@@ -88,9 +67,11 @@ class TestSelectBackend:
         assert (d.backend, d.reason) == ("bitset", "auto:shape-dense")
 
     def test_auto_picks_csr_on_sparse_shapes(self):
-        d = select_backend(SPARSE_H, requested="auto")
-        assert (d.backend, d.reason) == ("csr", "auto:shape-sparse")
-        assert not d.dense
+        # One step past the envelope on each axis: universe 65537, d = 9.
+        for H in (SPARSE_H, WIDE_H):
+            d = select_backend(H, requested="auto")
+            assert (d.backend, d.reason) == ("csr", "auto:shape-sparse")
+            assert not d.dense
 
     def test_forced_csr_wins_over_shape(self):
         d = select_backend(DENSE_H, requested="csr")
@@ -119,87 +100,6 @@ class TestSelectBackend:
         monkeypatch.setenv("REPRO_KERNEL", "jit")
         with pytest.raises(ValueError, match="unknown kernel"):
             select_backend(DENSE_H)
-
-
-class TestCostModelDispatch:
-    def test_calibration_steers_auto_to_csr(self, monkeypatch, tmp_path):
-        cal = tmp_path / "cal.json"
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(cal))
-        _write_calibration(cal, {"d3-u1k": {"csr": 10.0, "bitset": 100.0}})
-        d = select_backend(DENSE_H, requested="auto")
-        assert (d.backend, d.reason) == ("csr", "cost-model:csr")
-
-    def test_calibration_steers_auto_to_bitset(self, monkeypatch, tmp_path):
-        cal = tmp_path / "cal.json"
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(cal))
-        _write_calibration(cal, {"d3-u1k": {"csr": 100.0, "bitset": 10.0}})
-        d = select_backend(DENSE_H, requested="auto")
-        assert (d.backend, d.reason) == ("bitset", "cost-model:bitset")
-
-    def test_uncovered_bucket_falls_back_to_static(self, monkeypatch, tmp_path):
-        cal = tmp_path / "cal.json"
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(cal))
-        _write_calibration(cal, {"d2-u8kplus": {"csr": 1.0, "bitset": 2.0}})
-        d = select_backend(DENSE_H, requested="auto")
-        assert (d.backend, d.reason) == ("bitset", "auto:shape-dense")
-
-    def test_cross_machine_calibration_is_ignored(self, monkeypatch, tmp_path):
-        cal = tmp_path / "cal.json"
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(cal))
-        _write_calibration(
-            cal,
-            {"d3-u1k": {"csr": 10.0, "bitset": 100.0}},
-            machine_id="someone-elses-box-128c",
-        )
-        d = select_backend(DENSE_H, requested="auto")
-        assert (d.backend, d.reason) == ("bitset", "auto:shape-dense")
-
-    def test_explicit_requests_beat_the_calibration(self, monkeypatch, tmp_path):
-        cal = tmp_path / "cal.json"
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(cal))
-        _write_calibration(cal, {"d3-u1k": {"csr": 10.0, "bitset": 100.0}})
-        assert select_backend(DENSE_H, requested="bitset").backend == "bitset"
-
-    def test_mode_counters(self, monkeypatch, tmp_path):
-        cal = tmp_path / "cal.json"
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(cal))
-        _write_calibration(cal, {"d3-u1k": {"csr": 10.0, "bitset": 100.0}})
-        with isolated_registry() as reg:
-            select_backend(DENSE_H, requested="auto")  # covered bucket
-            select_backend(DIM4_H, requested="auto")  # uncovered bucket
-            snap = reg.snapshot()
-        counters = snap["counters"]
-        assert counters["kernels/dispatch_mode/cost-model"] == 1
-        assert counters["kernels/dispatch_mode/static"] == 1
-        assert counters["kernels/dispatch_shape/d3-u1k/csr"] == 1
-        assert counters["kernels/dispatch_shape/d4plus-u1k/bitset"] == 1
-
-
-FIXTURE = __import__("pathlib").Path(__file__).resolve().parents[1] / (
-    "fixtures/kernel_calibration.json"
-)
-
-
-class TestCommittedFixture:
-    """The fixture CI's kernel-calibrate step asserts against."""
-
-    def test_is_well_formed_and_foreign(self):
-        cal = load_calibration(KERNEL_CALIBRATION, FIXTURE)  # validates the schema
-        assert cal.machine_id != machine_identity()
-        assert "d3-u1k" in cal.buckets
-
-    def test_restamped_fixture_steers_dispatch(self, monkeypatch, tmp_path):
-        # Re-stamp with the local machine id: the d3-u1k bucket records
-        # csr as faster (opposite of the static envelope), so honoring
-        # the calibration is observable.
-        doc = json.loads(FIXTURE.read_text())
-        doc["provenance"]["machine_id"] = machine_identity()
-        path = tmp_path / "cal.json"
-        path.write_text(json.dumps(doc))
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(path))
-        invalidate_calibration_cache()
-        d = select_backend(DENSE_H, requested="auto")
-        assert (d.backend, d.reason) == ("csr", "cost-model:csr")
 
 
 class TestRequestSources:
@@ -247,15 +147,27 @@ class TestCounters:
         assert snap["counters"]["kernels/dispatch_shape/d3-u1k/bitset"] == 1
 
 
-class TestShapeFeatures:
-    def test_of_reads_header_fields(self):
-        f = ShapeFeatures.of(DENSE_H)
-        assert f.n == DENSE_H.num_vertices
-        assert f.m == DENSE_H.num_edges
-        assert f.universe == DENSE_H.universe
-        assert f.dimension == DENSE_H.dimension
-        assert f.density == pytest.approx(f.m / f.n)
+class TestShapeBucket:
+    @pytest.mark.parametrize(
+        "dim,universe,expected",
+        [
+            (2, 100, "d2-u1k"),
+            (1, 1024, "d2-u1k"),
+            (3, 1025, "d3-u2k"),
+            (3, 2048, "d3-u2k"),
+            (3, 4096, "d3-u4k"),
+            (4, 8192, "d4plus-u8k"),
+            (8, 8193, "d4plus-u8kplus"),
+            (5, 400, "d4plus-u1k"),
+        ],
+    )
+    def test_bands(self, dim, universe, expected):
+        assert shape_bucket(dim, universe) == expected
 
-    def test_empty_instance(self):
-        f = ShapeFeatures.of(Hypergraph(0))
-        assert (f.n, f.m, f.density) == (0, 0, 0.0)
+    def test_cardinality_is_bounded(self):
+        labels = {
+            shape_bucket(d, u)
+            for d in range(1, 12)
+            for u in (1, 1024, 2048, 4096, 8192, 1 << 20)
+        }
+        assert len(labels) <= 15

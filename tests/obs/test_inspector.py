@@ -73,14 +73,12 @@ class TestRenderSummary:
             with tracer.span("bl/solve"):
                 reg.counter("kernels/dispatch_shape/d3-u1k/bitset").inc()
                 reg.counter("kernels/dispatch_shape/d4plus-u4k/bitset").inc(2)
-                reg.counter("kernels/dispatch_mode/cost-model").inc()
-                reg.counter("kernels/dispatch_mode/static").inc(2)
             tracer.flush_metrics()
             tracer.close()
         text = render_summary(path)
         assert "kernel dispatch" in text
         assert "d3-u1k" in text and "d4plus-u4k" in text
-        assert "cost-model: 1" in text and "static: 2" in text
+        assert "**kernel dispatch (backend x shape bucket)**" in text
 
 
 class TestRenderCompare:

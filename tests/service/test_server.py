@@ -27,6 +27,7 @@ from repro.service import (
     encode_instance,
     run_load,
 )
+from repro.service.server import LINE_LIMIT
 
 _H1 = uniform_hypergraph(40, 80, 3, seed=5)
 _H2 = uniform_hypergraph(25, 50, 3, seed=6)
@@ -346,6 +347,74 @@ class TestHttpTransport:
         assert at_limit == (200, b"ok\n")
         assert over[0] == 431
         assert counters["service/bad_requests"] == 1
+
+
+    @staticmethod
+    def _solves_after(port: int) -> None:
+        """A fresh connection still solves after a rejected one."""
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        conn.request("POST", "/solve", body=json.dumps(_solve_doc(_H1, "bl", 3)))
+        solved = json.loads(conn.getresponse().read())
+        conn.close()
+        assert solved["status"] == "ok"
+        assert solved["mis_size"] == beame_luby(_H1, 3).size
+
+    @pytest.mark.parametrize(
+        "line,answer",
+        [
+            (b"GET /" + b"x" * (LINE_LIMIT + 16) + b" HTTP/1.1", f"{LINE_LIMIT}-byte limit"),
+            (b"GARBAGE", "bad request line"),
+        ],
+        ids=["over-limit", "not-three-parts"],
+    )
+    def test_bad_request_line_gets_400(self, tmp_path, line, answer):
+        config = _config(tmp_path, http=("127.0.0.1", 0))
+        with isolated_registry() as reg, ServerThread(config) as handle:
+            port = handle.server.http_port
+            status, body = self._raw_exchange(port, line + b"\r\n\r\n")
+            counters = reg.snapshot()["counters"]
+            self._solves_after(port)
+        assert status == 400
+        assert answer in body.decode()
+        assert counters["service/bad_requests"] == 1
+
+    def test_over_limit_header_line_gets_431(self, tmp_path):
+        config = _config(tmp_path, http=("127.0.0.1", 0))
+        pad = b"X-Pad: " + b"x" * (LINE_LIMIT + 16) + b"\r\n"
+        head = b"GET /healthz HTTP/1.1\r\n" + pad + b"\r\n"
+        with isolated_registry() as reg, ServerThread(config) as handle:
+            port = handle.server.http_port
+            status, body = self._raw_exchange(port, head)
+            counters = reg.snapshot()["counters"]
+            self._solves_after(port)
+        assert status == 431
+        assert f"{LINE_LIMIT}-byte limit" in body.decode()
+        assert counters["service/bad_requests"] == 1
+
+    def test_over_limit_content_length_gets_413_unread(self, tmp_path):
+        config = _config(tmp_path, http=("127.0.0.1", 0))
+        # No body follows: the answer must come without waiting for one.
+        head = f"POST /solve HTTP/1.1\r\nContent-Length: {LINE_LIMIT + 1}\r\n\r\n"
+        with isolated_registry() as reg, ServerThread(config) as handle:
+            port = handle.server.http_port
+            status, body = self._raw_exchange(port, head.encode())
+            counters = reg.snapshot()["counters"]
+            self._solves_after(port)
+        assert status == 413
+        response = json.loads(body)
+        assert response["status"] == "bad_request"
+        assert f"{LINE_LIMIT}-byte limit" in response["error"]
+        assert counters["service/oversized_requests"] == 1
+
+    def test_body_at_the_limit_is_read(self, tmp_path):
+        config = _config(tmp_path, http=("127.0.0.1", 0))
+        doc = json.dumps(_solve_doc(_H1, "bl", 3)).encode()
+        body = doc + b" " * (LINE_LIMIT - len(doc))
+        head = f"POST /solve HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+        with ServerThread(config) as handle:
+            status, reply = self._raw_exchange(handle.server.http_port, head + body)
+        assert status == 200
+        assert json.loads(reply)["mis_size"] == beame_luby(_H1, 3).size
 
 
 class TestCLI:
