@@ -91,15 +91,21 @@ def break_independence_above(
     return solver
 
 
-def _planted_hot_frame(deadline_ns: int) -> int:
-    """Busy-spin until *deadline_ns* — the frame a sampling profiler must name.
+def _planted_hot_frame(cpu_ns: int) -> int:
+    """Busy-spin until this thread has burned *cpu_ns* of CPU time — the
+    frame a sampling profiler must name.
 
     A real spin (not ``time.sleep``) so the planted slowdown shows up in
     CPU attribution and stack samples alike; the loop body does trivial
-    arithmetic to stay in this Python frame.
+    arithmetic to stay in this Python frame.  The deadline is on the
+    thread's CPU clock, not the wall clock: a preempted thread keeps
+    spinning until it has burned the full budget, so the span's CPU time
+    is at least *cpu_ns* and its wall time (never less than its CPU time)
+    is too.
     """
+    deadline_ns = time.thread_time_ns() + cpu_ns
     spins = 0
-    while time.perf_counter_ns() < deadline_ns:
+    while time.thread_time_ns() < deadline_ns:
         spins += 1
     return spins
 
@@ -127,7 +133,7 @@ def slow_phase(
         result = base(H, seed=seed, **kwargs)
         tracer = current_tracer()
         with tracer.span(span, delay_s=delay_s):
-            _planted_hot_frame(time.perf_counter_ns() + int(delay_s * 1e9))
+            _planted_hot_frame(int(delay_s * 1e9))
         return result
 
     return solver
